@@ -1,9 +1,5 @@
-// Shared plumbing for the per-figure bench binaries.
-//
-// Each binary regenerates one figure of the paper: it loads (or runs and
-// caches) the full 2855-play study, prints the figure with its
-// paper-vs-measured block, exports the CSV series to fig_data/, and
-// registers a google-benchmark timing of the figure's analysis step.
+// Shared plumbing for the figure bench binaries: the study config from the
+// environment and the cached full study (2855 plays) it implies.
 //
 // Environment overrides (useful on slow machines):
 //   RV_PLAY_SCALE  — fraction of each user's playlist to simulate (default 1)
@@ -11,14 +7,9 @@
 //   RV_SEED        — study master seed (default 2001)
 #pragma once
 
-#include <benchmark/benchmark.h>
-
 #include <cstdlib>
-#include <iostream>
-#include <string>
 
 #include "study/cache.h"
-#include "study/figures.h"
 #include "study/study.h"
 
 namespace rv::bench {
@@ -43,33 +34,4 @@ inline const study::StudyResult& shared_study() {
   return result;
 }
 
-// Runs a figure bench binary: prints the regenerated figure, then times the
-// analysis under google-benchmark.
-inline int run_figure_main(
-    int argc, char** argv, const char* name,
-    std::string (*figure)(const study::StudyResult&)) {
-  const auto& result = shared_study();
-  study::set_csv_export_dir("fig_data");
-  std::cout << figure(result) << "\n";
-  study::set_csv_export_dir("");  // don't rewrite CSVs per benchmark iter
-
-  benchmark::RegisterBenchmark(name, [figure, &result](
-                                         benchmark::State& state) {
-    for (auto _ : state) {
-      benchmark::DoNotOptimize(figure(result));
-    }
-  });
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
-
 }  // namespace rv::bench
-
-#define RV_FIGURE_BENCH_MAIN(fig_fn)                                   \
-  int main(int argc, char** argv) {                                    \
-    return rv::bench::run_figure_main(argc, argv, #fig_fn,             \
-                                      &rv::study::fig_fn);             \
-  }

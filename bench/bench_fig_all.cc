@@ -1,6 +1,6 @@
 // Regenerates EVERY figure of the paper in one run, plus the study totals of
 // §IV, and times the full analysis pass. The underlying study is shared via
-// the on-disk cache with the per-figure binaries.
+// the on-disk cache with `realdata fig N`.
 #include <benchmark/benchmark.h>
 
 #include <iostream>

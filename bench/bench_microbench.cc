@@ -172,17 +172,12 @@ void BM_PacketForwardingChain(benchmark::State& state) {
 BENCHMARK(BM_PacketForwardingChain)->Arg(2)->Arg(8);
 
 // A deep same-tick burst through one link: 512 packets queue behind the
-// transmitter and drain at line rate. This is the shape the batched drain
-// targets — the whole backlog is scheduled analytically in one event
-// context (one delivery per packet plus a single batch-end) instead of a
-// tx-done/start-transmission chain per packet. Arg 0 is the per-packet
-// path (the default, and what the committed study runs); Arg 1 opts into
-// the batched path — the pair is the in-tree ablation.
+// transmitter and drain at line rate, one tx-done/start-transmission event
+// chain per packet.
 void BM_LinkBurstForward(benchmark::State& state) {
   constexpr int kPackets = 512;
   net::QueueConfig queue;
   queue.capacity_bytes = kPackets * 1000;
-  queue.batch = state.range(0) != 0;
   for (auto _ : state) {
     sim::Simulator sim;
     net::Network net(sim);
@@ -206,10 +201,7 @@ void BM_LinkBurstForward(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * kPackets);
 }
-BENCHMARK(BM_LinkBurstForward)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_LinkBurstForward)->Unit(benchmark::kMicrosecond);
 
 void BM_TcpBulkTransfer(benchmark::State& state) {
   struct Tag : net::PayloadMeta {};

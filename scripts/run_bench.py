@@ -25,10 +25,6 @@ Modes:
              the scaling curve under study.scaling in BENCH_sim.json, and
              fail if the cache md5 differs across thread counts (the
              per-play executor must be byte-identical at any width).
-  --determinism-smoke
-             cheap CI gate: run a --smoke-scale mini-study at 1 and 2
-             threads and fail if the cache md5s differ. Needs only the
-             realdata binary; skips the microbenches entirely.
   --scaling-smoke
              cheap CI gate for multicore scaling: run a --scaling-scale
              mini-study at 1 and 2 threads (min-of-N walls), fail if the
@@ -133,8 +129,7 @@ TRACKED = [
     "BM_SimulatorWheelCascade",
     "BM_PacketForwardingChain/2",
     "BM_PacketForwardingChain/8",
-    "BM_LinkBurstForward/0",
-    "BM_LinkBurstForward/1",
+    "BM_LinkBurstForward",
     "BM_TcpBulkTransfer",
     "BM_TcpChunkedSegments",
     "BM_FrameScheduleGenerate",
@@ -299,11 +294,8 @@ def main():
     ap.add_argument("--threads-sweep", default=None,
                     help="with --study: comma-separated thread counts for "
                          "the scaling curve, e.g. 1,2,4,8")
-    ap.add_argument("--determinism-smoke", action="store_true",
-                    help="run a mini-study at 1 and 2 threads; fail if the "
-                         "cache md5s differ (cheap CI determinism gate)")
     ap.add_argument("--smoke-scale", type=float, default=0.02,
-                    help="play_scale for --determinism-smoke/--trace-smoke")
+                    help="play_scale for the mini-study smokes")
     ap.add_argument("--scaling-smoke", action="store_true",
                     help="run a mini-study at 1 and 2 threads (min of "
                          "--scaling-runs each); fail if the md5s differ, "
@@ -367,27 +359,6 @@ def main():
     ap.add_argument("--seed", type=int, default=2001)
     ap.add_argument("--threads", type=int, default=4)
     args = ap.parse_args()
-
-    if args.determinism_smoke:
-        # Needs only the realdata binary: catches per-play executor
-        # determinism regressions without the full campaign or the benches.
-        if not os.path.exists(args.realdata_binary):
-            sys.exit("realdata binary not found: %s (build Release first)" %
-                     args.realdata_binary)
-        digests = {}
-        for threads in (1, 2):
-            wall, digest, _ = run_study(args.realdata_binary, args.seed,
-                                        threads, scale=args.smoke_scale)
-            digests[threads] = digest
-            print("smoke threads=%d wall=%.1fs md5=%s" %
-                  (threads, wall, digest), file=sys.stderr)
-        if digests[1] != digests[2]:
-            sys.exit("determinism smoke FAILED: 1-thread md5 %s != 2-thread "
-                     "md5 %s (scale=%g seed=%d)" %
-                     (digests[1], digests[2], args.smoke_scale, args.seed))
-        print("determinism smoke passed: 1- and 2-thread mini-studies are "
-              "byte-identical (md5 %s)" % digests[1])
-        return
 
     if args.scaling_smoke:
         if not os.path.exists(args.realdata_binary):

@@ -11,7 +11,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "net/packet.h"
 #include "net/packet_pool.h"
@@ -65,39 +64,23 @@ class LinkDirection {
 
   BitsPerSec rate() const { return rate_; }
   SimTime prop_delay() const { return prop_delay_; }
-  // Bytes waiting behind the transmitting packet, exactly as the per-packet
-  // kernel would report at the current sim time: packets in the arrival
-  // queue plus batched packets whose transmission has not yet started (the
-  // drain cursor advances lazily against now()).
-  std::int64_t queued_bytes() const;
+  // Bytes waiting behind the transmitting packet.
+  std::int64_t queued_bytes() const { return queued_bytes_; }
   std::int64_t queue_capacity_bytes() const { return queue_capacity_bytes_; }
   const LinkStats& stats() const { return stats_; }
 
  private:
   void start_transmission(PooledPacket packet);
   void transmission_done();
-  // Batched path: schedules every packet in the queue snapshot (delivery
-  // times computed analytically from cumulative serialisation) with one
-  // batch-end event, instead of one tx-done event per packet.
-  void drain_batch(PooledPacket first);
-  void batch_done();
 
   sim::Simulator& sim_;
   BitsPerSec rate_;
   SimTime prop_delay_;
   std::int64_t queue_capacity_bytes_;
-  bool batch_enabled_;
   std::unique_ptr<RedState> red_;  // null for drop-tail
   std::deque<PooledPacket> queue_;
   std::int64_t queued_bytes_ = 0;
   bool busy_ = false;
-  // Drain schedule of the in-flight batch, SoA (parallel start/size arrays,
-  // reused across batches — allocation-free in steady state). Entries before
-  // drain_cursor_ have started transmitting; drain_bytes_ sums the rest.
-  std::vector<SimTime> drain_start_;
-  std::vector<std::int32_t> drain_size_;
-  mutable std::size_t drain_cursor_ = 0;
-  mutable std::int64_t drain_bytes_ = 0;
   std::function<void(PooledPacket)> deliver_;
   FaultFilter fault_;
   DelayJitter jitter_;

@@ -17,21 +17,6 @@ enum class QueuePolicy : std::uint8_t { kDropTail, kRed };
 struct QueueConfig {
   QueuePolicy policy = QueuePolicy::kDropTail;
   std::int64_t capacity_bytes = 0;  // 0 = Network default sizing
-  // Batched drain: when the transmitter goes idle it schedules the entire
-  // queued burst analytically (one delivery event per packet plus a single
-  // batch-end event) instead of a tx-done event per packet. Timing and drop
-  // decisions are exactly the per-packet path's (differential-tested under
-  // drop-tail and RED); links with a delay-jitter hook fall back to
-  // per-packet transparently, since jitter draws must happen at each tx
-  // start. Default-off because batching is not *fingerprint*-exact:
-  // pre-scheduling assigns the kernel's {time, seq} tie-break sequence
-  // numbers at batch start instead of incrementally between other actors'
-  // schedules, so an unrelated event landing on the exact timestamp of a
-  // delivery executes in a different order — same times, same drops,
-  // different same-tick interleaving, and the committed study md5 moves.
-  // Opt in for throughput-oriented runs; BM_LinkBurstForward/{0,1} is the
-  // ablation.
-  bool batch = false;
   // RED parameters (used when policy == kRed), as fractions of capacity.
   double red_min_threshold = 0.25;
   double red_max_threshold = 0.75;

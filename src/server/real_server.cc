@@ -46,6 +46,10 @@ class TcpMediaChannel final : public MediaChannel {
   explicit TcpMediaChannel(transport::TcpConnection& conn) : conn_(conn) {}
   void send_media(std::shared_ptr<const media::MediaPacketMeta> meta,
                   std::int32_t payload_bytes) override {
+    // A peer close reaches the sender only once the FIN exchange finishes
+    // (the session's close callback stops it); until then its writes are
+    // dropped, as a write to a half-closed socket would fail.
+    if (conn_.closing()) return;
     conn_.send_chunk(payload_bytes, std::move(meta));
   }
   std::int64_t backlog_bytes() const override {

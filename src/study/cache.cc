@@ -258,7 +258,11 @@ StudyResult run_study_cached(const StudyConfig& config, bool force_run,
   const std::string path = default_cache_path(config, cache_dir);
   if (!force_run) {
     if (auto cached = load_result(path, config)) {
+      // Feed /metrics exactly as the engine does on a fresh run.
       obs::metrics_add(obs::Metric::kCacheHits);
+      obs::metrics_gauge_set(obs::MetricGauge::kUsersPlanned,
+                             static_cast<std::int64_t>(cached->users.size()));
+      feed_metrics(cached->users.size(), cached->records);
       return std::move(*cached);
     }
   }

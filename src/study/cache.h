@@ -1,5 +1,5 @@
-// Binary (de)serialisation of a StudyResult, so the ~25 bench binaries can
-// share one full study run instead of each re-simulating 2855 plays.
+// Binary (de)serialisation of a StudyResult, so the tools and bench binaries
+// can share one full study run instead of each re-simulating 2855 plays.
 //
 // The cache file is keyed by a hash of the study configuration; a stale or
 // mismatched file is ignored and the study re-runs.
@@ -28,7 +28,8 @@ std::optional<StudyResult> load_result(const std::string& path,
                                        const StudyConfig& config);
 
 // Loads from the default path when fresh, otherwise runs the study and
-// saves. Benches call this. `force_run` skips the load (but still saves):
+// saves; either way it feeds the result to /metrics (see feed_metrics).
+// Benches call this. `force_run` skips the load (but still saves):
 // needed when callers want fresh in-memory-only state — e.g. per-play
 // traces, which a cache hit cannot supply because they are never
 // serialized. The saved bytes are identical either way. `cache_dir`

@@ -1,20 +1,17 @@
 #include "study/campaign.h"
 
-#include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 
 #include "obs/metrics.h"
+#include "study/engine.h"
 #include "study/spill.h"
 #include "util/check.h"
 #include "util/strings.h"
@@ -565,57 +562,20 @@ CampaignResult run_campaign(const CampaignConfig& config) {
   RV_CHECK_LT(config.shard_index, config.shard_count)
       << "shard_index must be < shard_count";
   RV_CHECK_GE(config.chunk_users, 1u) << "chunk_users must be >= 1";
-  const StudyConfig& study = config.study;
-  RV_CHECK(study.play_scale > 0.0 && study.play_scale <= 1.0)
-      << "play_scale must be in (0, 1], got " << study.play_scale;
-
-  const auto scale_plays = [&study](world::UserProfile& u) {
-    if (study.play_scale < 1.0) {
-      u.clips_to_play = std::max(
-          1,
-          static_cast<int>(std::lround(u.clips_to_play * study.play_scale)));
-      u.clips_to_rate = std::min(u.clips_to_rate, u.clips_to_play);
-    }
-  };
-
-  world::PopulationStream sizing(study.population, config.plays_scale);
-  const std::uint64_t total_users = sizing.size();
+  const std::uint64_t total_users =
+      world::PopulationStream(config.study.population, config.plays_scale)
+          .size();
   const std::uint64_t first =
       total_users * config.shard_index / config.shard_count;
   const std::uint64_t last =
       total_users * (config.shard_index + 1) / config.shard_count;
-
-  const media::Catalog catalog = make_catalog(study);
-  const world::RegionGraph graph;
-  tracer::TracerConfig tracer_cfg = study.tracer;
-  if (tracer_cfg.faults.seed == 0) tracer_cfg.faults.seed = study.seed;
-  tracer::RealTracer tracer(catalog, graph, tracer_cfg);
-
-  if (tracer_cfg.faults.enabled &&
-      tracer_cfg.faults.mechanistic_unavailability) {
-    // Mechanistic unavailability grids each site's accesses over the whole
-    // campaign, so a shard needs the full population's per-site totals and
-    // its own users' starting ranks. Profile generation is ~1000× cheaper
-    // than play execution, so one streaming prefix pass is affordable; only
-    // this shard's users keep a per-user base, bounding memory.
-    tracer.access_plan_begin();
-    world::PopulationStream all(study.population, config.plays_scale);
-    for (std::uint64_t id = 0; id < total_users; ++id) {
-      world::UserProfile u = all.next();
-      scale_plays(u);
-      tracer.access_plan_add(u, /*keep_base=*/id >= first && id < last);
-    }
-  }
+  Engine engine(config.study, config.plays_scale, first, last);
 
   CampaignResult res;
   res.rollup.user_first = first;
   res.rollup.user_count = last - first;
   res.users = last - first;
-
-  // Wall-clock-side liveness metrics (no-ops unless a registry is
-  // installed; never feeds back into sim state or the RNG tree).
-  obs::metrics_gauge_set(obs::MetricGauge::kUsersPlanned,
-                         static_cast<std::int64_t>(last - first));
+  res.threads = engine.threads();
   obs::metrics_gauge_set(obs::MetricGauge::kShardIndex, config.shard_index);
   obs::metrics_gauge_set(obs::MetricGauge::kShardCount, config.shard_count);
   obs::metrics_gauge_set(obs::MetricGauge::kLastFoldUser,
@@ -635,101 +595,43 @@ CampaignResult run_campaign(const CampaignConfig& config) {
       throw std::runtime_error("cannot write spill file: " + res.spill_path);
     }
   }
-
-  int n_threads = study.threads > 0
-                      ? study.threads
-                      : static_cast<int>(std::thread::hardware_concurrency());
-  n_threads = std::clamp(n_threads, 1, 64);
-  res.threads = n_threads;
-  obs::metrics_gauge_set(obs::MetricGauge::kWorkers, n_threads);
-  // Contexts persist across chunks (deque: PlayContext is pinned, not
-  // movable), so steady-state chunks allocate ~nothing.
-  std::deque<tracer::PlayContext> contexts;
-  for (int i = 0; i < n_threads; ++i) contexts.emplace_back();
-
-  world::PopulationStream stream(study.population, config.plays_scale);
-  stream.skip(first);
-  std::vector<world::UserProfile> users;
-  std::vector<tracer::TraceRecord> records;
-
-  const auto t0 = std::chrono::steady_clock::now();
-  std::uint64_t pos = first;
   std::uint64_t spill_bytes_fed = 0, spill_frames_fed = 0;
-  while (pos < last) {
-    const std::uint64_t count = std::min(config.chunk_users, last - pos);
-    users.clear();
-    users.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-      users.push_back(stream.next());
-      scale_plays(users.back());
-    }
-    const tracer::StudyPlan plan = tracer.build_plan(users, study.seed);
-    records.resize(plan.tasks.size());
-    alignas(64) std::atomic<std::size_t> next{0};
-    auto worker = [&](int worker_index) {
-      tracer::PlayContext& ctx =
-          contexts[static_cast<std::size_t>(worker_index)];
-      while (true) {
-        const std::size_t k = next.fetch_add(1, std::memory_order_relaxed);
-        if (k >= plan.order.size()) return;
-        const tracer::PlayTask& task = plan.tasks[plan.order[k]];
-        records[task.record_slot] =
-            tracer.run_play(task, users[task.user_index], ctx);
-      }
-    };
-    if (n_threads == 1 || plan.tasks.size() < 2) {
-      worker(0);
-    } else {
-      std::vector<std::thread> pool;
-      pool.reserve(static_cast<std::size_t>(n_threads));
-      for (int i = 0; i < n_threads; ++i) pool.emplace_back(worker, i);
-      for (auto& t : pool) t.join();
-    }
-    // Fold + spill in slot (user-major, play-minor) order: the global record
-    // sequence across chunks and shards is the user-id order, which is what
-    // makes the merged spill byte-identical to a single-process run.
-    for (const auto& rec : records) {
-      res.rollup.fold(rec);
-      if (writer != nullptr) writer->append(rec);
-      if (rec.analyzable()) {
-        obs::metrics_observe(obs::MetricHist::kPlayFps,
-                             rec.stats.measured_fps);
-        obs::metrics_observe(obs::MetricHist::kPlayBandwidthKbps,
-                             to_kbps(rec.stats.measured_bandwidth));
-      }
-    }
-    res.plays += records.size();
-    pos += count;
-    obs::metrics_add(obs::Metric::kPlaysCompleted, records.size());
-    obs::metrics_add(obs::Metric::kUsersCompleted, count);
-    obs::metrics_add(obs::Metric::kChunksCompleted);
-    obs::metrics_gauge_set(obs::MetricGauge::kLastFoldUser,
-                           static_cast<std::int64_t>(pos));
-    if (writer != nullptr) {
-      obs::metrics_add(obs::Metric::kSpillBytesWritten,
-                       writer->bytes_written() - spill_bytes_fed);
-      obs::metrics_add(obs::Metric::kSpillFramesWritten,
-                       writer->frames_written() - spill_frames_fed);
-      spill_bytes_fed = writer->bytes_written();
-      spill_frames_fed = writer->frames_written();
-    }
-    obs::metrics_gauge_set(obs::MetricGauge::kRssKb, obs::current_rss_kb());
-    if (config.progress) config.progress(res.plays, pos - first, last - first);
-  }
-  res.execute_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-
-  if (writer != nullptr) {
-    if (!writer->finish()) {
-      throw std::runtime_error("cannot finalize spill file: " +
-                               res.spill_path);
-    }
-    // The footer written by finish() is part of the spill byte count.
+  const auto feed_spill_metrics = [&] {
     obs::metrics_add(obs::Metric::kSpillBytesWritten,
                      writer->bytes_written() - spill_bytes_fed);
     obs::metrics_add(obs::Metric::kSpillFramesWritten,
                      writer->frames_written() - spill_frames_fed);
+    spill_bytes_fed = writer->bytes_written();
+    spill_frames_fed = writer->frames_written();
+  };
+
+  const auto t0 = std::chrono::steady_clock::now();
+  std::uint64_t pos = first;
+  engine.run(config.chunk_users, [&](auto& users, auto& records) {
+    // Fold + spill in slot order: across chunks and shards that is user-id
+    // order, so a merged spill is byte-identical to a single-process run.
+    for (const auto& rec : records) {
+      res.rollup.fold(rec);
+      if (writer != nullptr) writer->append(rec);
+    }
+    res.plays += records.size();
+    pos += users.size();
+    obs::metrics_add(obs::Metric::kChunksCompleted);
+    obs::metrics_gauge_set(obs::MetricGauge::kLastFoldUser,
+                           static_cast<std::int64_t>(pos));
+    if (writer != nullptr) feed_spill_metrics();
+    if (config.progress) config.progress(res.plays, pos - first, last - first);
+  });
+  res.execute_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  res.profile = std::move(engine.profile);
+
+  if (writer != nullptr) {
+    if (!writer->finish()) {
+      throw std::runtime_error("cannot finalize spill file: " + res.spill_path);
+    }
+    feed_spill_metrics();  // the footer written by finish() counts too
   }
   if (!res.rollup_path.empty() && !res.rollup.save(res.rollup_path)) {
     throw std::runtime_error("cannot write rollup file: " + res.rollup_path);

@@ -6,11 +6,12 @@
 //   - PopulationStream (src/world) synthesizes the scaled population off the
 //     paper's fitted distributions; a shard is a contiguous user-id range,
 //     generable independently yet byte-reproducible.
-//   - run_campaign materializes only `chunk_users` profiles at a time,
-//     plans/executes each chunk with the existing plan/execute split, folds
-//     every finished record into a CampaignRollup, optionally appends it to
-//     a columnar spill (study/spill.h), and discards it. Peak RSS is set by
-//     the chunk working set, not the play count.
+//   - run_campaign streams its users through the plan/execute engine
+//     (study/engine.h) `chunk_users` profiles at a time — the same engine
+//     run_study runs as one chunk — folds every finished record into a
+//     CampaignRollup, optionally appends it to a columnar spill
+//     (study/spill.h), and discards it. Peak RSS is set by the chunk working
+//     set, not the play count.
 //   - CampaignRollup is pure mergeable state: u64/i64 counters, fixed-point
 //     (micro-unit) sums, bin-exact stats::MergeableHistograms and ordered
 //     group tables. merge() of N contiguous shard rollups reproduces the
@@ -153,6 +154,7 @@ struct CampaignResult {
   std::uint64_t plays = 0;         // records folded (== rollup.records)
   int threads = 1;                 // resolved worker count
   double execute_seconds = 0.0;    // wall time of the chunk loop
+  StudyProfile profile;            // filled when study.profile is set
   std::uint64_t peak_rss_kb = 0;   // VmHWM at completion (0 if unreadable)
   std::string spill_path;          // set when spill_dir was given
   std::string rollup_path;

@@ -1,12 +1,6 @@
 #include "study/study.h"
 
-#include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <cmath>
-#include <thread>
-
-#include "util/check.h"
+#include "study/engine.h"
 #include "world/servers.h"
 
 namespace rv::study {
@@ -22,122 +16,16 @@ media::Catalog make_catalog(const StudyConfig& config) {
 }
 
 StudyResult run_study(const StudyConfig& config) {
-  RV_CHECK(config.play_scale > 0.0 && config.play_scale <= 1.0)
-      << "play_scale must be in (0, 1], got " << config.play_scale;
-  RV_CHECK_GE(config.threads, 0)
-      << "threads must be >= 0 (0 = hardware concurrency)";
-
+  // The paper population is one chunk of the scale-1 population.
+  const std::uint64_t n_users =
+      world::PopulationStream(config.population, 1).size();
+  Engine engine(config, 1, 0, n_users);
   StudyResult result;
-  result.users = world::generate_population(config.population);
-  if (config.play_scale < 1.0) {
-    for (auto& u : result.users) {
-      u.clips_to_play = std::max(
-          1, static_cast<int>(std::lround(u.clips_to_play *
-                                          config.play_scale)));
-      u.clips_to_rate = std::min(u.clips_to_rate, u.clips_to_play);
-    }
-  }
-
-  const media::Catalog catalog = make_catalog(config);
-  const world::RegionGraph graph;
-  tracer::TracerConfig tracer_cfg = config.tracer;
-  if (tracer_cfg.faults.seed == 0) {
-    // Tie the fault universe to the study seed unless pinned explicitly.
-    tracer_cfg.faults.seed = config.seed;
-  }
-  tracer::RealTracer tracer(catalog, graph, tracer_cfg);
-
-  // Self-profiling is wall-clock-only and gated so the default path takes
-  // zero clock reads; it can never feed back into simulation state.
-  const bool profiling = config.profile;
-  using Clock = std::chrono::steady_clock;
-  const auto wall_since = [](Clock::time_point start) {
-    return std::chrono::duration<double>(Clock::now() - start).count();
-  };
-  Clock::time_point plan_start{};
-  if (profiling) plan_start = Clock::now();
-  tracer.plan_access_times(result.users);
-
-  // Plan/execute split: the serial planning pass precomputes everything
-  // coupled across a user's plays and emits one self-contained task per
-  // play; workers then drain the ~2855 tasks cost-descending off a shared
-  // index queue. Each task writes its preassigned (user-major, play-minor)
-  // record slot, so the output is byte-identical for any thread count and
-  // any interleaving — per-user sharding's straggler wall (one heavy-tailed
-  // user bounding the tail) is gone.
-  const tracer::StudyPlan plan = tracer.build_plan(result.users, config.seed);
-  if (profiling) {
-    result.profile.enabled = true;
-    result.profile.plan_seconds = wall_since(plan_start);
-  }
-  result.records.resize(plan.tasks.size());
-  // Slots are written by exactly one worker each, with no flag or counter
-  // beside them; a TraceRecord spans multiple cache lines, so neighbouring
-  // writers cannot ping-pong a line for the whole record either.
-  static_assert(sizeof(tracer::TraceRecord) >= 64,
-                "result slots narrower than a cache line: give the executor "
-                "per-worker spans or align the slots");
-
-  int n_threads = config.threads > 0
-                      ? config.threads
-                      : static_cast<int>(std::thread::hardware_concurrency());
-  n_threads = std::clamp(n_threads, 1, 64);
-
-  // Claims need no ordering: workers only read plan/tracer state published
-  // before the pool started (thread creation happens-before) and publish
-  // records via join. fetch_add(relaxed) is still a total order on the
-  // counter itself, so every task is claimed exactly once.
-  // The one genuinely contended word in the execute phase. Line-aligned so
-  // the neighbouring stack slots (profiling clocks, the pool vector) never
-  // ride the claim counter's cache line.
-  alignas(64) std::atomic<std::size_t> next{0};
-  if (profiling) {
-    result.profile.workers.resize(static_cast<std::size_t>(n_threads));
-  }
-  auto worker = [&](int worker_index) {
-    tracer::PlayContext ctx;
-    // Preassigned slot — no sharing, no synchronization (published by join).
-    WorkerProfile* wp =
-        profiling ? &result.profile.workers[static_cast<std::size_t>(
-                        worker_index)]
-                  : nullptr;
-    while (true) {
-      const std::size_t k = next.fetch_add(1, std::memory_order_relaxed);
-      if (k >= plan.order.size()) return;
-      const tracer::PlayTask& task = plan.tasks[plan.order[k]];
-      if (wp != nullptr) {
-        const auto play_start = Clock::now();
-        result.records[task.record_slot] =
-            tracer.run_play(task, result.users[task.user_index], ctx);
-        const double dt = wall_since(play_start);
-        ++wp->plays;
-        wp->busy_seconds += dt;
-        if (dt > wp->max_play_seconds) wp->max_play_seconds = dt;
-      } else {
-        result.records[task.record_slot] =
-            tracer.run_play(task, result.users[task.user_index], ctx);
-      }
-    }
-  };
-  Clock::time_point exec_start{};
-  if (profiling) exec_start = Clock::now();
-  if (n_threads == 1) {
-    worker(0);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(n_threads));
-    for (int i = 0; i < n_threads; ++i) pool.emplace_back(worker, i);
-    for (auto& t : pool) t.join();
-  }
-  if (profiling) {
-    result.profile.execute_seconds = wall_since(exec_start);
-    // Idle = starvation: wall this worker spent off-task while the phase was
-    // still running (queue drained, or waiting on the last straggler play).
-    for (auto& wp : result.profile.workers) {
-      wp.idle_seconds =
-          std::max(0.0, result.profile.execute_seconds - wp.busy_seconds);
-    }
-  }
+  engine.run(n_users, [&result](auto& users, auto& records) {
+    result.users = std::move(users);
+    result.records = std::move(records);
+  });
+  result.profile = std::move(engine.profile);
   return result;
 }
 

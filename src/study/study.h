@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "media/catalog.h"
@@ -46,8 +47,8 @@ static_assert(sizeof(WorkerProfile) == 64 && alignof(WorkerProfile) == 64,
 // Study-level profile: plan/execute phase walls plus per-worker breakdown.
 struct StudyProfile {
   bool enabled = false;
-  double plan_seconds = 0.0;     // serial planning pass (incl. access plan)
-  double execute_seconds = 0.0;  // parallel execution phase wall
+  double plan_seconds = 0.0;     // access plan + build_plan, all chunks
+  double execute_seconds = 0.0;  // worker-pool wall, all chunks
   std::vector<WorkerProfile> workers;  // one per worker thread
 };
 
@@ -65,9 +66,17 @@ struct StudyResult {
   std::vector<const tracer::TraceRecord*> rated() const;
 };
 
-// Runs the full study. Deterministic in config.seed (thread count does not
-// affect results).
+// Runs the full study: one chunk of the campaign engine (study/engine.h)
+// covering the paper population. Deterministic in config.seed (thread count
+// does not affect results). Throws util::CheckError on invalid config.
 StudyResult run_study(const StudyConfig& config);
+
+// Feeds finished plays to the installed obs::MetricsRegistry (a no-op
+// without one): users and plays completed, per-play fps and bandwidth,
+// current RSS. The engine calls it per chunk, run_study_cached on a cache
+// hit, so /metrics reads the same either way.
+void feed_metrics(std::uint64_t users,
+                  std::span<const tracer::TraceRecord> records);
 
 // The catalog a study config implies (shared by benches needing clip info).
 media::Catalog make_catalog(const StudyConfig& config);

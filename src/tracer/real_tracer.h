@@ -61,8 +61,9 @@ struct TracerConfig {
 // pool's slot storage, the cross-traffic vector capacity and the metadata
 // arena's slabs are all retained across sessions, so steady-state plays
 // allocate ~nothing. One context per worker thread; contexts must never be
-// shared concurrently.
-struct PlayContext {
+// shared concurrently. Line-aligned so that the contexts the engine
+// allocates up front, one per worker, never share a cache line.
+struct alignas(64) PlayContext {
   sim::Simulator sim;
   world::PlayPath path;  // path.network, when reused, schedules into `sim`
   obs::PlaySink sink;    // reused ring + counters for observed plays

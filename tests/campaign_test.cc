@@ -217,6 +217,37 @@ TEST(Campaign, RunCampaignValidatesConfig) {
   EXPECT_THROW(run_campaign(config), util::CheckError);
 }
 
+TEST(Campaign, RunCampaignRejectsNegativeThreadsLikeRunStudy) {
+  StudyConfig study = quick_config();
+  study.threads = -1;
+  EXPECT_THROW(run_study(study), util::CheckError);
+  CampaignConfig config;
+  config.study = study;
+  EXPECT_THROW(run_campaign(config), util::CheckError);
+}
+
+TEST(Campaign, ProfiledCampaignFillsOneWorkerProfilePerWorker) {
+  CampaignConfig config;
+  config.study = quick_config();
+  config.study.profile = true;
+  config.chunk_users = 20;  // several chunks accumulate into one profile
+  const CampaignResult res = run_campaign(config);
+  ASSERT_TRUE(res.profile.enabled);
+  ASSERT_EQ(res.profile.workers.size(),
+            static_cast<std::size_t>(res.threads));
+  std::uint64_t plays = 0;
+  for (const WorkerProfile& w : res.profile.workers) {
+    plays += w.plays;
+    EXPECT_GE(w.idle_seconds, 0.0);
+  }
+  EXPECT_EQ(plays, res.plays);
+  EXPECT_GT(res.profile.execute_seconds, 0.0);
+  EXPECT_LE(res.profile.execute_seconds, res.execute_seconds);
+
+  config.study.profile = false;
+  EXPECT_FALSE(run_campaign(config).profile.enabled);
+}
+
 TEST(Campaign, PeakRssIsReadable) {
   // Linux-only value, but this suite runs on Linux: VmHWM of a live test
   // process is always at least a megabyte.

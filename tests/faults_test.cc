@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "faults/config.h"
@@ -356,6 +357,40 @@ TEST(FaultsEndToEnd, SinglePlayIsBitReproducibleUnderFaults) {
   EXPECT_EQ(a.stats.bytes_received, b.stats.bytes_received);
   EXPECT_EQ(a.stats.rebuffer_seconds, b.stats.rebuffer_seconds);
   EXPECT_EQ(a.stats.samples.size(), b.stats.samples.size());
+}
+
+// Campaign seed 5 with overload, link-down and corruption faults, no cross
+// traffic and SACK on: in user 0's play 84 the peer closes the TCP media
+// connection while the server's sender still has media to write. Re-plans
+// the campaign's first chunk and runs only that task: the sender must stop
+// writing to the closing connection rather than abort the play.
+TEST(FaultsEndToEnd, SenderStopsWritingToAClosingTcpConnection) {
+  study::StudyConfig cfg;
+  cfg.seed = 5;
+  cfg.tracer.path.negligible_load = 2.0;
+  cfg.tracer.tcp_sack = true;
+  cfg.tracer.faults.enabled = true;
+  cfg.tracer.faults.seed = cfg.seed;
+  cfg.tracer.faults.overload_probability = 0.05;
+  cfg.tracer.faults.link_down_probability = 0.05;
+  cfg.tracer.faults.corruption_probability = 0.05;
+  const media::Catalog catalog = study::make_catalog(cfg);
+  const world::RegionGraph graph;
+  tracer::RealTracer tracer(catalog, graph, cfg.tracer);
+  const std::vector<world::UserProfile> users =
+      world::generate_population(cfg.population);
+  tracer.plan_access_times(users);
+  const tracer::StudyPlan plan = tracer.build_plan(users, cfg.seed);
+  const auto task = std::find_if(
+      plan.tasks.begin(), plan.tasks.end(), [](const tracer::PlayTask& t) {
+        return t.user_index == 0 && t.play_index == 84;
+      });
+  ASSERT_NE(task, plan.tasks.end());
+  ASSERT_TRUE(task->needs_sim);
+  tracer::PlayContext ctx;
+  tracer::TraceRecord rec;
+  EXPECT_NO_THROW(rec = tracer.run_play(*task, users[0], ctx));
+  EXPECT_EQ(rec.user_id, users[0].id);
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <vector>
 
 #include "net/cross_traffic.h"
 #include "net/network.h"
@@ -138,75 +137,7 @@ TEST(RedLink, DefaultRemainsDropTail) {
   EXPECT_EQ(link.direction_from(a).stats().packets_dropped, 0u);
 }
 
-// The batched drain must be observationally identical to the per-packet
-// path: same delivery times, same drop decisions, same queue occupancy at
-// every probe time. These tests compare the two paths directly (QueueConfig
-// `batch` toggles them) and pin the lazy occupancy bookkeeping.
-
-struct BurstResult {
-  std::vector<SimTime> delivery_times;
-  std::uint64_t dropped = 0;
-  std::vector<std::int64_t> occupancy;  // queued_bytes() on a fixed grid
-};
-
-BurstResult run_burst(bool batch, QueuePolicy policy) {
-  sim::Simulator sim;
-  Network net(sim);
-  const NodeId a = net.add_node("a");
-  const NodeId b = net.add_node("b");
-  QueueConfig q;
-  q.policy = policy;
-  q.capacity_bytes = 12'000;  // small: the burst overflows it
-  q.batch = batch;
-  Link& link = net.add_link(a, b, kbps(500), msec(5), q);
-  net.compute_routes();
-  BurstResult result;
-  net.node(b).set_local_sink(
-      [&](Packet) { result.delivery_times.push_back(sim.now()); });
-  // Three bursts with gaps, so the link drains, goes idle, and restarts —
-  // exercising batch start, batch-end requeue, and the idle transition.
-  for (int burst = 0; burst < 3; ++burst) {
-    sim.run_until(sec(2 * burst));
-    for (int i = 0; i < 30; ++i) {
-      Packet p;
-      p.src = a;
-      p.dst = b;
-      p.proto = Protocol::kUdp;
-      p.size_bytes = 400 + 100 * (i % 5);  // mixed sizes
-      net.send(p);
-    }
-    // Mid-drain occupancy probes at sub-transmission granularity.
-    for (int probe = 1; probe <= 40; ++probe) {
-      sim.run_until(sec(2 * burst) + probe * msec(17));
-      result.occupancy.push_back(link.direction_from(a).queued_bytes());
-    }
-  }
-  sim.run();
-  result.dropped = link.direction_from(a).stats().packets_dropped;
-  return result;
-}
-
-TEST(BatchedLink, DropTailBurstsMatchPerPacketPathExactly) {
-  const BurstResult batched = run_burst(true, QueuePolicy::kDropTail);
-  const BurstResult legacy = run_burst(false, QueuePolicy::kDropTail);
-  EXPECT_GT(batched.dropped, 0u);  // the shape must actually overflow
-  EXPECT_EQ(batched.dropped, legacy.dropped);
-  EXPECT_EQ(batched.delivery_times, legacy.delivery_times);
-  EXPECT_EQ(batched.occupancy, legacy.occupancy);
-}
-
-TEST(BatchedLink, RedBurstsMatchPerPacketPathExactly) {
-  // RED consumes occupancy in its EWMA and drop draws, so any lazy-
-  // accounting error shows up as diverging drop decisions.
-  const BurstResult batched = run_burst(true, QueuePolicy::kRed);
-  const BurstResult legacy = run_burst(false, QueuePolicy::kRed);
-  EXPECT_GT(batched.dropped, 0u);
-  EXPECT_EQ(batched.dropped, legacy.dropped);
-  EXPECT_EQ(batched.delivery_times, legacy.delivery_times);
-  EXPECT_EQ(batched.occupancy, legacy.occupancy);
-}
-
-TEST(BatchedLink, LazyOccupancyFollowsAnalyticDrainSchedule) {
+TEST(LinkQueue, OccupancyShedsOnePacketPerTransmissionStart) {
   // Directed check of queued_bytes(): 1000-byte packets at 1 Mbps serialise
   // in exactly 8 ms each. After a 4-packet burst the first transmits
   // immediately; the queue holds 3, then sheds one every 8 ms as each

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 
+#include "obs/metrics.h"
 #include "study/analysis.h"
 #include "study/cache.h"
 #include "study/figures.h"
@@ -158,6 +160,41 @@ TEST(Study, CacheRejectsDifferentConfig) {
   other.seed = 4242;
   EXPECT_FALSE(load_result(path, other).has_value());
   std::remove(path.c_str());
+}
+
+TEST(Study, CacheHitFeedsMetricsLikeAFreshRun) {
+  StudyConfig config;
+  config.play_scale = 0.02;
+  const std::string dir = ::testing::TempDir() + "/rv_metrics_cache";
+  std::filesystem::remove_all(dir);
+  // The first call misses and runs the study, the second loads its cache.
+  obs::MetricsRegistry fresh, hit;
+  for (obs::MetricsRegistry* reg : {&fresh, &hit}) {
+    obs::install_metrics(reg);
+    run_study_cached(config, /*force_run=*/false, dir);
+    obs::install_metrics(nullptr);
+  }
+  std::filesystem::remove_all(dir);
+  EXPECT_EQ(fresh.value(obs::Metric::kCacheMisses), 1u);
+  EXPECT_EQ(hit.value(obs::Metric::kCacheHits), 1u);
+  EXPECT_EQ(hit.value(obs::Metric::kCacheMisses), 0u);
+  EXPECT_GT(fresh.value(obs::Metric::kPlaysCompleted), 0u);
+  for (const auto m : {obs::Metric::kPlaysCompleted,
+                       obs::Metric::kUsersCompleted}) {
+    EXPECT_EQ(hit.value(m), fresh.value(m)) << obs::metric_name(m);
+  }
+  EXPECT_EQ(hit.gauge(obs::MetricGauge::kUsersPlanned),
+            fresh.gauge(obs::MetricGauge::kUsersPlanned));
+  EXPECT_GT(hit.gauge(obs::MetricGauge::kRssKb), 0);
+  for (const auto h : {obs::MetricHist::kPlayFps,
+                       obs::MetricHist::kPlayBandwidthKbps}) {
+    EXPECT_GT(fresh.hist_count(h), 0u) << obs::hist_name(h);
+    EXPECT_EQ(hit.hist_count(h), fresh.hist_count(h)) << obs::hist_name(h);
+    for (const double q : {0.1, 0.5, 0.9}) {
+      EXPECT_EQ(hit.hist_quantile(h, q), fresh.hist_quantile(h, q))
+          << obs::hist_name(h) << " q" << q;
+    }
+  }
 }
 
 TEST(Study, CacheRejectsGarbageFile) {

@@ -446,6 +446,9 @@ int cmd_campaign(const study::StudyConfig& study_cfg, const util::Args& args,
     std::cout << "rollup: " << rollup_out << "\n";
   }
   std::cout << "\n" << res.rollup.render();
+  if (cc.study.profile) {
+    std::cout << "\n" << study::profile_report(res.profile);
+  }
   return 0;
 }
 
@@ -481,7 +484,18 @@ int main(int argc, char** argv) {
   study::StudyConfig config;
   config.play_scale = args.get_double("scale", 1.0);
   config.seed = static_cast<std::uint64_t>(args.get_int("seed", 2001));
-  config.threads = static_cast<int>(args.get_int("threads", 0));
+  const auto threads = args.get_int("threads", 0);
+  if (threads < 0 || threads > 1024) {
+    std::cerr << "--threads must be in [0, 1024] (0 = all cores), got "
+              << threads << "\n";
+    return 2;
+  }
+  config.threads = static_cast<int>(threads);
+  if (!(config.play_scale > 0.0 && config.play_scale <= 1.0)) {
+    std::cerr << "--scale must be in (0, 1], got " << config.play_scale
+              << "\n";
+    return 2;
+  }
   if (const auto cc = args.get("cc")) {
     const auto parsed = transport::parse_cc_algorithm(*cc);
     if (!parsed) {
@@ -635,20 +649,6 @@ int main(int argc, char** argv) {
                          config.tracer.obs.enabled;
   const study::StudyResult result =
       study::run_study_cached(config, force_run, cache_dir);
-  // Feed the registry for the study path too (run_campaign feeds itself):
-  // /metrics after a study command reports what was analyzed, whether it
-  // came from the cache or a fresh run.
-  obs::metrics_gauge_set(obs::MetricGauge::kUsersPlanned,
-                         static_cast<std::int64_t>(result.users.size()));
-  obs::metrics_add(obs::Metric::kUsersCompleted, result.users.size());
-  obs::metrics_add(obs::Metric::kPlaysCompleted, result.records.size());
-  for (const auto& r : result.records) {
-    if (!r.analyzable()) continue;
-    obs::metrics_observe(obs::MetricHist::kPlayFps, r.stats.measured_fps);
-    obs::metrics_observe(obs::MetricHist::kPlayBandwidthKbps,
-                         to_kbps(r.stats.measured_bandwidth));
-  }
-  obs::metrics_gauge_set(obs::MetricGauge::kRssKb, obs::current_rss_kb());
   if (want_trace) {
     const int rc = cmd_write_trace(result, trace_path);
     if (rc != 0) return rc;

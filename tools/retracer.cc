@@ -34,6 +34,7 @@
 #include <exception>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <thread>
 
 #include "obs/chrome_trace.h"
@@ -52,13 +53,14 @@ namespace {
 
 using namespace rv;
 
-world::ConnectionClass parse_connection(const std::string& s) {
+std::optional<world::ConnectionClass> parse_connection(const std::string& s) {
   if (s == "modem") return world::ConnectionClass::kModem56k;
+  if (s == "dsl") return world::ConnectionClass::kDslCable;
   if (s == "t1" || s == "lan") return world::ConnectionClass::kT1Lan;
-  return world::ConnectionClass::kDslCable;
+  return std::nullopt;
 }
 
-world::Region parse_region(const std::string& s) {
+std::optional<world::Region> parse_region(const std::string& s) {
   const std::pair<const char*, world::Region> table[] = {
       {"us-east", world::Region::kUsEast},
       {"us-west", world::Region::kUsWest},
@@ -72,7 +74,7 @@ world::Region parse_region(const std::string& s) {
   for (const auto& [name, region] : table) {
     if (s == name) return region;
   }
-  return world::Region::kUsEast;
+  return std::nullopt;
 }
 
 }  // namespace
@@ -203,17 +205,41 @@ int main(int argc, char** argv) {
   world::UserProfile user;
   user.country = "US";
   user.us_state = "MA";
-  user.region = parse_region(args.get_or("region", "us-east"));
+  const std::string region = args.get_or("region", "us-east");
+  const std::string connection = args.get_or("connection", "dsl");
+  const auto parsed_region = parse_region(region);
+  const auto parsed_connection = parse_connection(connection);
+  if (!parsed_region) {
+    std::cerr << "--region expects one of us-east|us-west|europe|asia|japan|"
+                 "australia|s-america|middle-east (got '" << region << "')\n";
+    return 2;
+  }
+  if (!parsed_connection) {
+    std::cerr << "--connection expects one of modem|dsl|t1 (got '"
+              << connection << "')\n";
+    return 2;
+  }
+  user.region = *parsed_region;
   user.group = world::UserRegionGroup::kUsCanada;
-  user.connection = parse_connection(args.get_or("connection", "dsl"));
+  user.connection = *parsed_connection;
   user.pc_class = args.get_or("pc", "Pentium II / 128-256");
   user.isp_load_lo = 0.3;
   user.isp_load_hi = 0.6;
   user.seed = static_cast<std::uint64_t>(args.get_int("seed", 2001));
 
-  const auto playlist_index = static_cast<std::size_t>(
-      args.get_int("clip", 0)) % catalog.size();
-  const bool force_tcp = args.get_or("protocol", "auto") == "tcp";
+  const auto clip_arg = args.get_int("clip", 0);
+  if (clip_arg < 0 || static_cast<std::size_t>(clip_arg) >= catalog.size()) {
+    std::cerr << "--clip must be a playlist index in [0, "
+              << catalog.size() - 1 << "] (got " << clip_arg << ")\n";
+    return 2;
+  }
+  const auto playlist_index = static_cast<std::size_t>(clip_arg);
+  const std::string protocol = args.get_or("protocol", "auto");
+  if (protocol != "auto" && protocol != "tcp") {
+    std::cerr << "--protocol expects auto|tcp (got '" << protocol << "')\n";
+    return 2;
+  }
+  const bool force_tcp = protocol == "tcp";
 
   int status_port = -1;
   if (args.has("status-port")) {
@@ -256,14 +282,7 @@ int main(int argc, char** argv) {
   const auto rec = tracer.run_single(
       user, playlist_index,
       user.seed * 7919 + playlist_index, force_tcp);
-  obs::metrics_add(obs::Metric::kPlaysCompleted);
-  obs::metrics_add(obs::Metric::kUsersCompleted);
-  if (rec.analyzable()) {
-    obs::metrics_observe(obs::MetricHist::kPlayFps, rec.stats.measured_fps);
-    obs::metrics_observe(obs::MetricHist::kPlayBandwidthKbps,
-                         to_kbps(rec.stats.measured_bandwidth));
-  }
-  obs::metrics_gauge_set(obs::MetricGauge::kRssKb, obs::current_rss_kb());
+  study::feed_metrics(1, {&rec, 1});
   if (status_server && status_hold_ms > 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(status_hold_ms));
   }
