@@ -4,6 +4,8 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <exception>
+#include <mutex>
 #include <thread>
 
 #include "obs/metrics.h"
@@ -120,21 +122,31 @@ void Engine::run(std::uint64_t chunk_users, const ChunkSink& sink) {
     // pool started and publish records via join. The counter is the one
     // contended word, so it owns its cache line.
     alignas(64) std::atomic<std::size_t> next{0};
+    // A play that throws must not escape its std::thread (std::terminate):
+    // the first failure ends the claim loop and is rethrown after the join.
+    std::exception_ptr failure;
+    std::mutex failure_mu;
     const auto worker = [&](std::size_t w) {
       tracer::PlayContext& ctx = contexts_[w];
       WorkerProfile* wp = profile.enabled ? &profile.workers[w] : nullptr;
-      while (true) {
-        const std::size_t k = next.fetch_add(1, std::memory_order_relaxed);
-        if (k >= plan.order.size()) return;
-        const tracer::PlayTask& task = plan.tasks[plan.order[k]];
-        const auto play_start = wp ? Clock::now() : Clock::time_point{};
-        records[task.record_slot] =
-            tracer_.run_play(task, users[task.user_index], ctx);
-        if (wp == nullptr) continue;
-        const double dt = seconds_since(play_start);
-        ++wp->plays;
-        wp->busy_seconds += dt;
-        wp->max_play_seconds = std::max(wp->max_play_seconds, dt);
+      try {
+        while (true) {
+          const std::size_t k = next.fetch_add(1, std::memory_order_relaxed);
+          if (k >= plan.order.size()) return;
+          const tracer::PlayTask& task = plan.tasks[plan.order[k]];
+          const auto play_start = wp ? Clock::now() : Clock::time_point{};
+          records[task.record_slot] =
+              tracer_.run_play(task, users[task.user_index], ctx);
+          if (wp == nullptr) continue;
+          const double dt = seconds_since(play_start);
+          ++wp->plays;
+          wp->busy_seconds += dt;
+          wp->max_play_seconds = std::max(wp->max_play_seconds, dt);
+        }
+      } catch (...) {
+        next.store(plan.order.size(), std::memory_order_relaxed);
+        const std::lock_guard<std::mutex> lock(failure_mu);
+        if (!failure) failure = std::current_exception();
       }
     };
     if (n_threads_ == 1 || plan.tasks.size() < 2) {
@@ -147,6 +159,7 @@ void Engine::run(std::uint64_t chunk_users, const ChunkSink& sink) {
       }
       for (auto& t : pool) t.join();
     }
+    if (failure) std::rethrow_exception(failure);
     if (profile.enabled) profile.execute_seconds += seconds_since(start);
     feed_metrics(count, records);
     sink(users, records);

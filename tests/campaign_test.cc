@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.h"
+#include "study/cache.h"
 #include "study/campaign.h"
 #include "study/spill.h"
 #include "study/study.h"
@@ -246,6 +248,43 @@ TEST(Campaign, ProfiledCampaignFillsOneWorkerProfilePerWorker) {
 
   config.study.profile = false;
   EXPECT_FALSE(run_campaign(config).profile.enabled);
+}
+
+TEST(Campaign, MetricsRegistryDoesNotPerturbOutputs) {
+  // The status exporter serves a process-wide MetricsRegistry that the
+  // chunk loop feeds. Installing one must leave every deterministic output
+  // byte-identical: campaign rollup and spill, and the study cache.
+  CampaignConfig config;
+  config.study = quick_config();
+  config.study.play_scale = 0.02;
+  std::string rollup[2], spill[2], cache[2];
+  for (const int on : {0, 1}) {
+    obs::MetricsRegistry registry;
+    if (on == 1) obs::install_metrics(&registry);
+    const std::string tag = "campaign_metrics" + std::to_string(on);
+    config.spill_dir = temp_path(tag);
+    const CampaignResult res = run_campaign(config);
+    rollup[on] = read_file(res.rollup_path);
+    spill[on] = read_file(res.spill_path);
+    if (on == 1) {
+      // The campaign fed what /metrics and /progress serve.
+      EXPECT_EQ(registry.value(obs::Metric::kPlaysCompleted), res.plays);
+      EXPECT_EQ(registry.value(obs::Metric::kUsersCompleted), res.users);
+      EXPECT_EQ(registry.value(obs::Metric::kSpillBytesWritten),
+                spill[on].size());
+      EXPECT_GT(registry.hist_count(obs::MetricHist::kPlayFps), 0u);
+    }
+    const std::string cache_path = temp_path(tag + ".cache");
+    EXPECT_TRUE(save_result(cache_path, config.study, run_study(config.study)));
+    cache[on] = read_file(cache_path);
+    obs::install_metrics(nullptr);
+  }
+  EXPECT_FALSE(rollup[0].empty());
+  EXPECT_FALSE(spill[0].empty());
+  EXPECT_FALSE(cache[0].empty());
+  EXPECT_EQ(rollup[0], rollup[1]);
+  EXPECT_EQ(spill[0], spill[1]);
+  EXPECT_EQ(cache[0], cache[1]);
 }
 
 TEST(Campaign, PeakRssIsReadable) {

@@ -9,6 +9,7 @@
 #include "study/cache.h"
 #include "study/figures.h"
 #include "study/study.h"
+#include "transport/congestion_control.h"
 #include "util/check.h"
 
 namespace rv::study {
@@ -219,6 +220,14 @@ TEST(Study, FingerprintSensitiveToKnobs) {
   EXPECT_NE(config_fingerprint(base), config_fingerprint(control));
   EXPECT_NE(config_fingerprint(base), config_fingerprint(scale));
   EXPECT_EQ(config_fingerprint(base), config_fingerprint(small_config()));
+  // Naming the default controller (`--cc reno`) must reuse the default
+  // study's cache; any other controller is a different study.
+  StudyConfig reno = base;
+  reno.tracer.tcp_cc = transport::CcAlgorithm::kReno;
+  StudyConfig cubic = base;
+  cubic.tracer.tcp_cc = transport::CcAlgorithm::kCubic;
+  EXPECT_EQ(config_fingerprint(base), config_fingerprint(reno));
+  EXPECT_NE(config_fingerprint(base), config_fingerprint(cubic));
 }
 
 TEST(Study, RejectsInvalidPlayScale) {
@@ -238,6 +247,19 @@ TEST(Study, RejectsNegativeThreads) {
   config.play_scale = 0.02;
   config.threads = -1;
   EXPECT_THROW(run_study(config), util::CheckError);
+}
+
+TEST(Study, PlayFailureInAWorkerReachesTheCaller) {
+  // A zero cross-traffic packet size fails a check inside run_play. On a
+  // pooled worker thread that must surface as the CheckError, not as
+  // std::terminate.
+  StudyConfig config;
+  config.play_scale = 0.02;
+  config.tracer.path.cross_packet_bytes = 0;
+  for (const int threads : {1, 4}) {
+    config.threads = threads;
+    EXPECT_THROW(run_study(config), util::CheckError) << "threads=" << threads;
+  }
 }
 
 TEST(Study, FingerprintSensitiveToFaultKnobs) {

@@ -254,7 +254,12 @@ TEST(TelemetryStudy, SeriesAndExportsByteIdenticalAcrossThreadCounts) {
   study::write_series_csv(p1, single.records);
   study::write_series_csv(p8, pooled.records);
   const std::string csv1 = file_bytes(p1);
-  EXPECT_FALSE(csv1.empty());
+  EXPECT_EQ(csv1.substr(0, csv1.find('\n')),
+            "user_id,record_slot,clip_id,server,t_usec,buffer_sec,fps,"
+            "bandwidth_kbps,cwnd_bytes,retx_per_sec,pacing_kbps,cc_state,"
+            "access_occupancy,access_drops,isp-uplink_occupancy,"
+            "isp-uplink_drops,wan-corridor_occupancy,wan-corridor_drops,"
+            "server-access_occupancy,server-access_drops");
   EXPECT_EQ(csv1, file_bytes(p8));
   std::remove(p1.c_str());
   std::remove(p8.c_str());

@@ -46,8 +46,8 @@
 
 #include "obs/chrome_trace.h"
 #include "obs/heartbeat.h"
-#include "obs/http_exporter.h"
 #include "obs/metrics.h"
+#include "shared_flags.h"
 #include "stats/csv.h"
 #include "stats/summary.h"
 #include "study/analysis.h"
@@ -55,7 +55,6 @@
 #include "study/campaign.h"
 #include "study/figures.h"
 #include "study/telemetry_report.h"
-#include "transport/congestion_control.h"
 #include "util/args.h"
 #include "util/strings.h"
 
@@ -496,15 +495,8 @@ int main(int argc, char** argv) {
               << "\n";
     return 2;
   }
-  if (const auto cc = args.get("cc")) {
-    const auto parsed = transport::parse_cc_algorithm(*cc);
-    if (!parsed) {
-      std::cerr << "--cc expects one of reno|cubic|bbr (got '" << *cc
-                << "')\n";
-      return 2;
-    }
-    config.tracer.tcp_cc = *parsed;
-  }
+  const auto flags = tools::parse_shared_flags(args, config.tracer);
+  if (!flags) return 2;
   if (args.has("faults")) {
     // Mechanistic fault injection: per-site outage schedules instead of the
     // Bernoulli availability model (plus any FaultConfig defaults).
@@ -512,14 +504,8 @@ int main(int argc, char** argv) {
     config.tracer.faults.outage_scale =
         args.get_double("outage-scale", 1.0);
   }
-  const bool want_trace = args.has("trace");
-  const std::string trace_path = args.get_or("trace", "");
+  const bool want_trace = !flags->trace_path.empty();
   if (want_trace) {
-    if (trace_path.empty()) {
-      std::cerr << "--trace requires a file path\n";
-      return 2;
-    }
-    config.tracer.obs.enabled = true;
     if (const auto tp = args.get("trace-play")) {
       const auto parsed = obs::parse_trace_play(*tp);
       if (!parsed) {
@@ -531,35 +517,19 @@ int main(int argc, char** argv) {
       config.tracer.obs.filter_play = parsed->second;
     }
   }
-
-  // Telemetry / flight-recorder / profiling flags, validated strictly.
-  const bool want_series_csv = args.has("series-csv");
-  const std::string series_csv = args.get_or("series-csv", "");
-  if (want_series_csv && series_csv.empty()) {
-    std::cerr << "--series-csv requires a file path\n";
-    return 2;
-  }
   const bool want_flight = args.has("flight-dir");
   const std::string flight_dir = args.get_or("flight-dir", "");
   if (want_flight && flight_dir.empty()) {
     std::cerr << "--flight-dir requires a directory\n";
     return 2;
   }
-  const bool want_telemetry =
-      args.has("telemetry") || want_series_csv || want_flight;
-  const auto interval_ms = args.get_int("telemetry-interval-ms", 500);
-  if (args.has("telemetry-interval-ms") && interval_ms <= 0) {
-    std::cerr << "--telemetry-interval-ms must be a positive integer (got "
-              << interval_ms << ")\n";
-    return 2;
-  }
-  if (want_telemetry) {
+  // Flight dumps carry the full event ring and the sampled series, so
+  // anomaly capture turns telemetry and the obs layer on too.
+  if (want_flight) {
     config.tracer.telemetry.enabled = true;
-    config.tracer.telemetry.interval = msec(interval_ms);
+    config.tracer.obs.enabled = true;
   }
-  // Flight dumps carry the full event ring, so anomaly capture turns the
-  // obs layer on too.
-  if (want_flight) config.tracer.obs.enabled = true;
+  const bool want_telemetry = config.tracer.telemetry.enabled;
   const bool want_profile = args.has("profile");
   config.profile = want_profile;
 
@@ -569,26 +539,6 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Live observability flags (strict: anything malformed is exit 2). All
-  // wall-clock-side — none of these feed the sim or the cache fingerprint,
-  // so the study cache bytes are identical with them on or off.
-  int status_port = -1;
-  if (args.has("status-port")) {
-    const std::string raw = args.get_or("status-port", "");
-    const auto parsed = obs::parse_status_port(raw);
-    if (!parsed) {
-      std::cerr << "--status-port expects an integer in [0, 65535] (got '"
-                << raw << "')\n";
-      return 2;
-    }
-    status_port = *parsed;
-  }
-  const auto status_hold_ms = args.get_int("status-hold-ms", 0);
-  if (args.has("status-hold-ms") && status_hold_ms < 0) {
-    std::cerr << "--status-hold-ms must be a non-negative integer (got "
-              << status_hold_ms << ")\n";
-    return 2;
-  }
   std::string heartbeat_dir;
   if (args.has("heartbeat-dir")) {
     heartbeat_dir = args.get_or("heartbeat-dir", "");
@@ -617,17 +567,8 @@ int main(int argc, char** argv) {
   obs::install_metrics(&metrics);
   std::unique_ptr<obs::StatusServer> status_server;
   StatusHold status_hold;
-  if (status_port >= 0) {
-    status_server = std::make_unique<obs::StatusServer>(&metrics);
-    std::string err;
-    if (!status_server->start(status_port, &err)) {
-      std::cerr << "--status-port: " << err << "\n";
-      return 2;
-    }
-    status_hold.ms = status_hold_ms;
-    std::cerr << "status: serving http://127.0.0.1:" << status_server->port()
-              << "/{metrics,progress,healthz}\n";
-  }
+  if (!tools::start_status_server(*flags, &metrics, status_server)) return 2;
+  if (status_server) status_hold.ms = flags->status_hold_ms;
 
   if (args.positional()[0] == "campaign") {
     try {
@@ -650,17 +591,17 @@ int main(int argc, char** argv) {
   const study::StudyResult result =
       study::run_study_cached(config, force_run, cache_dir);
   if (want_trace) {
-    const int rc = cmd_write_trace(result, trace_path);
+    const int rc = cmd_write_trace(result, flags->trace_path);
     if (rc != 0) return rc;
   }
-  if (want_series_csv) {
+  if (!flags->series_csv.empty()) {
     try {
-      study::write_series_csv(series_csv, result.records);
+      study::write_series_csv(flags->series_csv, result.records);
     } catch (const std::exception& e) {
       std::cerr << "cannot write series CSV: " << e.what() << "\n";
       return 1;
     }
-    std::cout << "wrote " << series_csv << "\n";
+    std::cout << "wrote " << flags->series_csv << "\n";
   }
   if (want_flight) {
     const int n = study::write_flight_records(flight_dir, result);

@@ -38,13 +38,12 @@
 #include <thread>
 
 #include "obs/chrome_trace.h"
-#include "obs/http_exporter.h"
 #include "obs/metrics.h"
+#include "shared_flags.h"
 #include "study/spill.h"
 #include "study/study.h"
 #include "study/telemetry_report.h"
 #include "tracer/real_tracer.h"
-#include "transport/congestion_control.h"
 #include "util/args.h"
 #include "util/strings.h"
 #include "world/region_graph.h"
@@ -165,41 +164,10 @@ int main(int argc, char** argv) {
 
   tracer::TracerConfig tracer_cfg;
   tracer_cfg.live_content = args.has("live");
-  if (const auto cc = args.get("cc")) {
-    const auto parsed = transport::parse_cc_algorithm(*cc);
-    if (!parsed) {
-      std::cerr << "--cc expects one of reno|cubic|bbr (got '" << *cc
-                << "')\n";
-      return 2;
-    }
-    tracer_cfg.tcp_cc = *parsed;
-  }
+  const auto flags = tools::parse_shared_flags(args, tracer_cfg);
+  if (!flags) return 2;
   tracer_cfg.watch_duration =
       seconds_to_sim(args.get_double("watch", 60.0));
-  const std::string trace_path = args.get_or("trace", "");
-  if (args.has("trace")) {
-    if (trace_path.empty()) {
-      std::cerr << "--trace requires a file path\n";
-      return 2;
-    }
-    tracer_cfg.obs.enabled = true;
-  }
-  const bool want_series_csv = args.has("series-csv");
-  const std::string series_csv = args.get_or("series-csv", "");
-  if (want_series_csv && series_csv.empty()) {
-    std::cerr << "--series-csv requires a file path\n";
-    return 2;
-  }
-  const auto interval_ms = args.get_int("telemetry-interval-ms", 500);
-  if (args.has("telemetry-interval-ms") && interval_ms <= 0) {
-    std::cerr << "--telemetry-interval-ms must be a positive integer (got "
-              << interval_ms << ")\n";
-    return 2;
-  }
-  if (args.has("telemetry") || want_series_csv) {
-    tracer_cfg.telemetry.enabled = true;
-    tracer_cfg.telemetry.interval = msec(interval_ms);
-  }
   const tracer::RealTracer tracer(catalog, graph, tracer_cfg);
 
   world::UserProfile user;
@@ -241,24 +209,6 @@ int main(int argc, char** argv) {
   }
   const bool force_tcp = protocol == "tcp";
 
-  int status_port = -1;
-  if (args.has("status-port")) {
-    const std::string raw = args.get_or("status-port", "");
-    const auto parsed = obs::parse_status_port(raw);
-    if (!parsed) {
-      std::cerr << "--status-port expects an integer in [0, 65535] (got '"
-                << raw << "')\n";
-      return 2;
-    }
-    status_port = *parsed;
-  }
-  const auto status_hold_ms = args.get_int("status-hold-ms", 0);
-  if (args.has("status-hold-ms") && status_hold_ms < 0) {
-    std::cerr << "--status-hold-ms must be a non-negative integer (got "
-              << status_hold_ms << ")\n";
-    return 2;
-  }
-
   if (!args.errors().empty()) {
     for (const auto& err : args.errors()) std::cerr << err << "\n";
     return 2;
@@ -267,27 +217,19 @@ int main(int argc, char** argv) {
   obs::MetricsRegistry metrics;
   obs::install_metrics(&metrics);
   std::unique_ptr<obs::StatusServer> status_server;
-  if (status_port >= 0) {
-    status_server = std::make_unique<obs::StatusServer>(&metrics);
-    std::string err;
-    if (!status_server->start(status_port, &err)) {
-      std::cerr << "--status-port: " << err << "\n";
-      return 2;
-    }
-    std::cerr << "status: serving http://127.0.0.1:" << status_server->port()
-              << "/{metrics,progress,healthz}\n";
-  }
+  if (!tools::start_status_server(*flags, &metrics, status_server)) return 2;
   obs::metrics_gauge_set(obs::MetricGauge::kUsersPlanned, 1);
 
   const auto rec = tracer.run_single(
       user, playlist_index,
       user.seed * 7919 + playlist_index, force_tcp);
   study::feed_metrics(1, {&rec, 1});
-  if (status_server && status_hold_ms > 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(status_hold_ms));
+  if (status_server && flags->status_hold_ms > 0) {
+    std::this_thread::sleep_for(
+        std::chrono::milliseconds(flags->status_hold_ms));
   }
 
-  if (!trace_path.empty() && rec.obs.enabled) {
+  if (!flags->trace_path.empty() && rec.obs.enabled) {
     obs::PlayTrack track;
     track.pid = static_cast<std::uint32_t>(user.id);
     track.tid = static_cast<std::uint32_t>(playlist_index);
@@ -298,21 +240,21 @@ int main(int argc, char** argv) {
                         rec.server_name.str();
     track.obs = &rec.obs;
     track.counters = study::chrome_counter_series(rec.series);
-    if (!obs::write_chrome_trace(trace_path, {track})) {
-      std::cerr << "cannot write trace file: " << trace_path << "\n";
+    if (!obs::write_chrome_trace(flags->trace_path, {track})) {
+      std::cerr << "cannot write trace file: " << flags->trace_path << "\n";
       return 2;
     }
-    std::cout << "trace:       " << trace_path << " ("
+    std::cout << "trace:       " << flags->trace_path << " ("
               << rec.obs.events.size() << " events)\n";
   }
-  if (want_series_csv) {
+  if (!flags->series_csv.empty()) {
     try {
-      study::write_series_csv(series_csv, {rec});
+      study::write_series_csv(flags->series_csv, {rec});
     } catch (const std::exception& e) {
       std::cerr << "cannot write series CSV: " << e.what() << "\n";
       return 2;
     }
-    std::cout << "series:      " << series_csv << " ("
+    std::cout << "series:      " << flags->series_csv << " ("
               << rec.series.data.size() << " samples)\n";
   }
   if (rec.series.enabled) {
