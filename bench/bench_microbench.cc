@@ -1,9 +1,10 @@
 // Microbenchmarks of the simulation substrate: event scheduling, packet
-// forwarding, TCP bulk transfer, frame-schedule generation, reassembly and
-// CDF analysis. These bound how fast the full study can run and catch
-// performance regressions in the hot paths.
+// forwarding, cross-traffic load, TCP bulk transfer, frame-schedule
+// generation, reassembly and CDF analysis. These bound how fast the full
+// study can run and catch performance regressions in the hot paths.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <memory>
 
 #include "media/catalog.h"
@@ -12,6 +13,7 @@
 #include "telemetry/sampler.h"
 #include "media/frame_schedule.h"
 #include "media/packetizer.h"
+#include "net/cross_traffic.h"
 #include "net/network.h"
 #include "sim/simulator.h"
 #include "stats/cdf.h"
@@ -202,6 +204,37 @@ void BM_LinkBurstForward(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kPackets);
 }
 BENCHMARK(BM_LinkBurstForward)->Unit(benchmark::kMicrosecond);
+
+// One ISP-uplink-shaped link (2 Mbps, 3 ms, ~80 ms of queue) carrying a
+// study-shaped normal-regime cross-traffic source for 60 simulated
+// seconds: bursts at line rate (the 1.05x cap), 400 ms mean ON periods
+// at 50% duty, 1000 B packets. Cross traffic fires most of the study's
+// events, so this is the per-packet cost of that load.
+void BM_CrossTrafficLink(benchmark::State& state) {
+  net::QueueConfig queue;
+  queue.capacity_bytes = 20'000;
+  net::CrossTrafficConfig ct;
+  ct.burst_rate = kbps(2000);
+  ct.mean_on = msec(400);
+  ct.mean_off = msec(400);
+  ct.packet_bytes = 1000;
+  std::uint64_t packets = 0;
+  for (auto _ : state) {
+    sim::Simulator sim;
+    net::Network net(sim);
+    const auto a = net.add_node("a");
+    const auto b = net.add_node("b");
+    net.add_link(a, b, kbps(2000), msec(3), queue);
+    net.compute_routes();
+    net::CrossTrafficSource source(net, a, b, ct, util::Rng(2001));
+    source.start();
+    sim.run_until(sec(60));
+    packets += source.packets_emitted();
+    benchmark::DoNotOptimize(sim.events_executed());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(packets));
+}
+BENCHMARK(BM_CrossTrafficLink)->Unit(benchmark::kMicrosecond);
 
 void BM_TcpBulkTransfer(benchmark::State& state) {
   struct Tag : net::PayloadMeta {};

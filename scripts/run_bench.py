@@ -88,6 +88,7 @@ TRACKED = [
     "BM_PacketForwardingChain/2",
     "BM_PacketForwardingChain/8",
     "BM_LinkBurstForward",
+    "BM_CrossTrafficLink",
     "BM_TcpBulkTransfer",
     "BM_TcpChunkedSegments",
     "BM_FrameScheduleGenerate",

@@ -17,10 +17,26 @@ CrossTrafficSource::CrossTrafficSource(Network& network, NodeId src,
       config_(config),
       rng_(std::move(rng)) {
   RV_CHECK_GT(config.packet_bytes, 0);
+  shape_.src = src;
+  shape_.dst = dst;
+  shape_.proto = Protocol::kUdp;
+  shape_.size_bytes = config.packet_bytes;
 }
 
 void CrossTrafficSource::start() {
   if (config_.burst_rate <= 0.0) return;  // silent source
+  std::size_t joining = 0;
+  for (std::size_t i = 0; i < network_.link_count(); ++i) {
+    Link& link = network_.link(i);
+    if ((link.a() == src_ && link.b() == dst_) ||
+        (link.a() == dst_ && link.b() == src_)) {
+      out_ = &link.direction_from(src_);
+      ++joining;
+    }
+  }
+  RV_CHECK_EQ(joining, 1u)
+      << "cross traffic needs exactly one link between nodes " << src_
+      << " and " << dst_;
   auto& sim = network_.simulator();
   // Start at a random point in the idle period so sources don't synchronise.
   const auto first_delay = static_cast<SimTime>(
@@ -54,12 +70,7 @@ void CrossTrafficSource::emit_packet() {
     sim.schedule_in(off_usec, [this] { begin_burst(); });
     return;
   }
-  Packet p;
-  p.src = src_;
-  p.dst = dst_;
-  p.proto = Protocol::kUdp;
-  p.size_bytes = config_.packet_bytes;
-  network_.send(std::move(p));
+  out_->send_background(shape_);
   ++packets_emitted_;
 
   // Next packet after the serialisation interval at burst_rate, jittered a

@@ -5,6 +5,11 @@
 // During an ON burst the source emits fixed-size packets at `burst_rate`;
 // burst and idle durations are exponentially distributed. The long-run
 // offered load is burst_rate * mean_on / (mean_on + mean_off).
+//
+// The packets are background load on the src -> dst link direction
+// (LinkDirection::send_background): they queue, serialise, count in
+// LinkStats and can be dropped exactly like packets, but nothing is ever
+// delivered to dst, whose sink would only have discarded them.
 #pragma once
 
 #include <cstdint>
@@ -29,12 +34,12 @@ struct CrossTrafficConfig {
 
 class CrossTrafficSource {
  public:
-  // Traffic flows src -> dst (they should be adjacent so that exactly the
-  // link between them is loaded). The sink node drops the packets.
+  // Traffic flows src -> dst, loading the one link between them.
   CrossTrafficSource(Network& network, NodeId src, NodeId dst,
                      const CrossTrafficConfig& config, util::Rng rng);
 
-  // Starts the on/off process; runs until the simulation ends.
+  // Starts the on/off process; runs until the simulation ends. src and dst
+  // must be joined by exactly one link (RV_CHECK).
   void start();
 
   std::uint64_t packets_emitted() const { return packets_emitted_; }
@@ -46,6 +51,8 @@ class CrossTrafficSource {
   Network& network_;
   NodeId src_;
   NodeId dst_;
+  LinkDirection* out_ = nullptr;  // src -> dst, resolved in start()
+  Packet shape_;                  // what every emitted packet looks like
   CrossTrafficConfig config_;
   util::Rng rng_;
   SimTime burst_end_ = 0;

@@ -23,60 +23,75 @@ LinkDirection::LinkDirection(sim::Simulator& sim, BitsPerSec rate,
 }
 
 void LinkDirection::send(PooledPacket packet) {
-  RV_CHECK_GT(packet->size_bytes, 0);
+  if (!admit(*packet)) return;
+  const std::int32_t bytes = packet->size_bytes;
+  enqueue({std::move(packet), bytes});
+}
+
+void LinkDirection::send_background(const Packet& shape) {
+  if (!admit(shape)) return;
+  enqueue({PooledPacket(), shape.size_bytes});
+}
+
+bool LinkDirection::admit(const Packet& packet) {
+  RV_CHECK_GT(packet.size_bytes, 0);
   obs::count(obs::Counter::kPacketsEnqueued);
-  if (fault_ != nullptr && fault_(*packet, sim_.now())) {
+  if (fault_ != nullptr && fault_(packet, sim_.now())) {
     ++stats_.packets_faulted;
     ++stats_.packets_dropped;
     obs::count(obs::Counter::kPacketsCorrupted);
-    return;
+    return false;
   }
-  if (busy_) {
-    // RED drops probabilistically before the queue is full; drop-tail (and
-    // RED's hard limit) drop on overflow.
-    const std::int64_t occupancy = queued_bytes_;
-    if (red_ != nullptr &&
-        red_->should_drop(occupancy, packet->size_bytes)) {
-      ++stats_.packets_dropped;
-      obs::count(obs::Counter::kPacketsDropped);
-      return;
-    }
-    if (occupancy + packet->size_bytes > queue_capacity_bytes_) {
-      ++stats_.packets_dropped;
-      obs::count(obs::Counter::kPacketsDropped);
-      return;
-    }
-    queued_bytes_ += packet->size_bytes;
-    queue_.push_back(std::move(packet));
-    return;
+  if (!busy_) return true;
+  // RED drops probabilistically before the queue is full; drop-tail (and
+  // RED's hard limit) drop on overflow.
+  const std::int64_t occupancy = queued_bytes_;
+  if ((red_ != nullptr && red_->should_drop(occupancy, packet.size_bytes)) ||
+      occupancy + packet.size_bytes > queue_capacity_bytes_) {
+    ++stats_.packets_dropped;
+    obs::count(obs::Counter::kPacketsDropped);
+    return false;
   }
-  start_transmission(std::move(packet));
+  return true;
 }
 
-void LinkDirection::start_transmission(PooledPacket packet) {
+void LinkDirection::enqueue(Entry entry) {
+  if (!busy_) {
+    start_transmission(std::move(entry));
+    return;
+  }
+  queued_bytes_ += entry.bytes;
+  queue_.push_back(std::move(entry));
+}
+
+void LinkDirection::start_transmission(Entry entry) {
   busy_ = true;
-  const SimTime tx = transmission_time(packet->size_bytes, rate_);
+  const SimTime tx = transmission_time(entry.bytes, rate_);
   stats_.busy_time += tx;
   ++stats_.packets_sent;
-  stats_.bytes_sent += static_cast<std::uint64_t>(packet->size_bytes);
+  stats_.bytes_sent += static_cast<std::uint64_t>(entry.bytes);
+  // The jitter hook draws for background load too, so its RNG stream does
+  // not depend on which entries are delivered.
+  const SimTime extra =
+      jitter_ ? std::max<SimTime>(0, jitter_(sim_.now())) : 0;
   // Delivery happens tx + propagation later; the transmitter frees after tx.
   // The pool handle moves into the event's inline storage — no allocation,
   // no packet copy.
-  const SimTime extra =
-      jitter_ ? std::max<SimTime>(0, jitter_(sim_.now())) : 0;
-  sim_.schedule_in(tx + prop_delay_ + extra,
-                   [this, p = std::move(packet)]() mutable {
-                     if (deliver_) deliver_(std::move(p));
-                   });
+  if (entry.packet) {
+    sim_.schedule_in(tx + prop_delay_ + extra,
+                     [this, p = std::move(entry.packet)]() mutable {
+                       if (deliver_) deliver_(std::move(p));
+                     });
+  }
   sim_.schedule_in(tx, [this] { transmission_done(); });
 }
 
 void LinkDirection::transmission_done() {
   busy_ = false;
   if (queue_.empty()) return;
-  PooledPacket next = std::move(queue_.front());
+  Entry next = std::move(queue_.front());
   queue_.pop_front();
-  queued_bytes_ -= next->size_bytes;
+  queued_bytes_ -= next.bytes;
   RV_CHECK_GE(queued_bytes_, 0);
   start_transmission(std::move(next));
 }

@@ -3,7 +3,8 @@
 // Each direction serialises packets at the link rate, holds at most
 // `queue_capacity_bytes` of backlog, and delivers after the propagation
 // delay. Overflowing packets are dropped (the only loss source in the
-// simulator, as in a real router).
+// simulator, as in a real router). Background load (cross traffic) shares
+// the queue and the transmitter with packets but is never delivered.
 #pragma once
 
 #include <cstdint>
@@ -51,6 +52,14 @@ class LinkDirection {
   // Pool-slot handles move through queueing and delivery without copying.
   void send(PooledPacket packet);
 
+  // Background load shaped like `shape`: admitted exactly as send() would
+  // admit that packet (same counters, fault filter, RED and drop-tail
+  // checks, same delay-jitter draw), then it takes queue bytes and
+  // transmitter time but is never delivered. Cross traffic's only effect on
+  // the foreground is this occupancy, so it skips the packet pool and the
+  // delivery event.
+  void send_background(const Packet& shape);
+
   // Called with each packet after serialisation + propagation.
   void set_deliver(std::function<void(PooledPacket)> deliver) {
     deliver_ = std::move(deliver);
@@ -59,7 +68,8 @@ class LinkDirection {
   // Fault-injection hook, consulted before queueing/transmission.
   void set_fault_filter(FaultFilter filter) { fault_ = std::move(filter); }
 
-  // Delay-jitter hook, consulted once per packet at transmission start.
+  // Delay-jitter hook, consulted once per packet (background load
+  // included) at transmission start.
   void set_delay_jitter(DelayJitter jitter) { jitter_ = std::move(jitter); }
 
   BitsPerSec rate() const { return rate_; }
@@ -70,7 +80,17 @@ class LinkDirection {
   const LinkStats& stats() const { return stats_; }
 
  private:
-  void start_transmission(PooledPacket packet);
+  // A queued transmission; a null `packet` is background load.
+  struct Entry {
+    PooledPacket packet;
+    std::int32_t bytes = 0;
+  };
+
+  // The admission checks shared by send() and send_background(); false
+  // means the entry was dropped (and counted).
+  bool admit(const Packet& packet);
+  void enqueue(Entry entry);
+  void start_transmission(Entry entry);
   void transmission_done();
 
   sim::Simulator& sim_;
@@ -78,7 +98,7 @@ class LinkDirection {
   SimTime prop_delay_;
   std::int64_t queue_capacity_bytes_;
   std::unique_ptr<RedState> red_;  // null for drop-tail
-  std::deque<PooledPacket> queue_;
+  std::deque<Entry> queue_;
   std::int64_t queued_bytes_ = 0;
   bool busy_ = false;
   std::function<void(PooledPacket)> deliver_;

@@ -60,7 +60,9 @@ class Network {
 
   // Observation tap (mmdump-style [MCCS00]): called for every packet as it
   // is delivered off a link, with the receiving node. Passive — the packet
-  // continues unmodified. One tap at a time; pass nullptr to clear.
+  // continues unmodified. Cross traffic is background load that is never
+  // delivered, so the tap sees foreground packets only. One tap at a time;
+  // pass nullptr to clear.
   using DeliveryTap =
       std::function<void(const Packet& packet, NodeId at_node, SimTime when)>;
   void set_delivery_tap(DeliveryTap tap) { tap_ = std::move(tap); }

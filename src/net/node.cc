@@ -23,7 +23,7 @@ void Node::handle(PooledPacket packet) {
       // pool when `packet` goes out of scope.
       local_sink_(std::move(*packet));
     } else {
-      // Cross-traffic sinks and closed ports land here by design.
+      // Packets for a node with no transport bound land here by design.
       ++sink_drops_;
     }
     return;

@@ -8,7 +8,7 @@
 namespace rv::obs {
 
 namespace detail {
-thread_local PlaySink* tl_sink = nullptr;
+constinit thread_local PlaySink* tl_sink = nullptr;
 }  // namespace detail
 
 namespace {

@@ -161,7 +161,10 @@ struct PlaySink {
 };
 
 namespace detail {
-extern thread_local PlaySink* tl_sink;
+// constinit: no dynamic initialisation, so a read is a plain TLS load
+// rather than a call through GCC's TLS wrapper function. (Through that
+// wrapper, GCC 12's UBSan reported every read as a null-pointer load.)
+extern constinit thread_local PlaySink* tl_sink;
 }  // namespace detail
 
 inline PlaySink* current_sink() { return detail::tl_sink; }

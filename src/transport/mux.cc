@@ -70,7 +70,7 @@ void TransportMux::deliver(net::Packet packet) {
     wit->second->on_packet(std::move(packet));
     return;
   }
-  ++unmatched_;  // cross-traffic sinks and closed ports
+  ++unmatched_;  // closed ports
 }
 
 }  // namespace rv::transport

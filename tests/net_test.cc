@@ -1,11 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "net/cross_traffic.h"
 #include "net/network.h"
 #include "net/packet.h"
+#include "net/queue_policy.h"
 #include "sim/simulator.h"
+#include "transport/mux.h"
+#include "transport/tcp.h"
+#include "util/check.h"
 #include "util/rng.h"
 
 namespace rv::net {
@@ -277,6 +285,229 @@ TEST(CrossTraffic, ParetoProducesLongerMaxBursts) {
   // covered by the mean-load test above).
   EXPECT_GT(longest_busy(1.2), 100u);
   EXPECT_GT(longest_busy(0.0), 100u);
+}
+
+TEST(CrossTraffic, StartRequiresExactlyOneLinkBetweenTheNodes) {
+  // Background load serialises on the src -> dst link alone, so a source
+  // between non-adjacent (or doubly linked) nodes is rejected outright.
+  sim::Simulator sim;
+  Network net(sim);
+  const NodeId a = net.add_node("a");
+  const NodeId r = net.add_node("r");
+  const NodeId b = net.add_node("b");
+  net.add_link(a, r, mbps(10), msec(1));
+  net.add_link(r, b, mbps(10), msec(1));
+  net.add_link(r, b, mbps(10), msec(1));
+  net.compute_routes();
+  CrossTrafficConfig cfg;
+  cfg.burst_rate = mbps(1);
+  CrossTrafficSource two_hops(net, a, b, cfg, util::Rng(1));
+  EXPECT_THROW(two_hops.start(), util::CheckError);
+  CrossTrafficSource parallel(net, r, b, cfg, util::Rng(1));
+  EXPECT_THROW(parallel.start(), util::CheckError);
+  CrossTrafficSource adjacent(net, a, r, cfg, util::Rng(1));
+  EXPECT_NO_THROW(adjacent.start());
+}
+
+// The cross-traffic emitter as it was before background load: the same
+// on/off process (exponential ON periods), but every packet is a real
+// Packet routed by Network::send and delivered to dst's sink. It is the
+// reference CrossTrafficSource must match.
+class PacketCrossTraffic {
+ public:
+  PacketCrossTraffic(Network& network, NodeId src, NodeId dst,
+                     const CrossTrafficConfig& config, util::Rng rng)
+      : network_(network),
+        src_(src),
+        dst_(dst),
+        config_(config),
+        rng_(std::move(rng)) {}
+
+  void start() {
+    const auto first_delay = static_cast<SimTime>(
+        rng_.exponential(to_seconds(config_.mean_off) * 1e6));
+    network_.simulator().schedule_in(first_delay, [this] { begin_burst(); });
+  }
+
+ private:
+  void begin_burst() {
+    const double mean_usec = to_seconds(config_.mean_on) * 1e6;
+    burst_end_ = network_.simulator().now() +
+                 static_cast<SimTime>(rng_.exponential(mean_usec));
+    emit_packet();
+  }
+
+  void emit_packet() {
+    auto& sim = network_.simulator();
+    if (sim.now() >= burst_end_) {
+      const auto off_usec = static_cast<SimTime>(
+          rng_.exponential(to_seconds(config_.mean_off) * 1e6));
+      sim.schedule_in(off_usec, [this] { begin_burst(); });
+      return;
+    }
+    network_.send(make_packet(src_, dst_, config_.packet_bytes));
+    const SimTime gap =
+        transmission_time(config_.packet_bytes, config_.burst_rate);
+    const auto jitter = static_cast<SimTime>(
+        rng_.uniform(0.0, 0.2 * static_cast<double>(gap)));
+    sim.schedule_in(gap + jitter, [this] { emit_packet(); });
+  }
+
+  Network& network_;
+  NodeId src_;
+  NodeId dst_;
+  CrossTrafficConfig config_;
+  util::Rng rng_;
+  SimTime burst_end_ = 0;
+};
+
+struct NoMeta : PayloadMeta {};
+
+struct SharedBottleneckOutcome {
+  transport::TcpStats client;
+  transport::TcpStats server;
+  std::vector<LinkStats> directions;  // a->b then b->a, for every link
+  // Every TCP packet delivered off a link: (time, receiving node, source).
+  std::vector<std::tuple<SimTime, NodeId, NodeId>> foreground;
+  std::uint64_t foreground_on_bottleneck = 0;  // TCP packets sent ra -> rb
+  std::uint64_t cross_delivered = 0;
+  std::uint64_t events_executed = 0;
+  std::uint64_t events_pending = 0;
+};
+
+constexpr int kBulkChunks = 200;
+constexpr std::int64_t kBulkChunkBytes = 1400;
+
+// A TCP bulk transfer client -> ra -> rb -> server whose ra -> rb
+// bottleneck also carries cross traffic from `Cross`, with a corruption
+// fault filter and a delay-jitter hook (each drawing its own RNG) on that
+// loaded direction.
+template <typename Cross>
+SharedBottleneckOutcome run_shared_bottleneck(QueuePolicy policy) {
+  sim::Simulator sim;
+  Network net(sim);
+  const NodeId client = net.add_node("client");
+  const NodeId ra = net.add_node("ra");
+  const NodeId rb = net.add_node("rb");
+  const NodeId server = net.add_node("server");
+  net.add_link(client, ra, mbps(100), msec(1));
+  QueueConfig queue;
+  queue.policy = policy;
+  queue.capacity_bytes = 24'000;
+  Link& bottleneck = net.add_link(ra, rb, mbps(1), msec(20), queue);
+  net.add_link(rb, server, mbps(100), msec(1));
+  net.compute_routes();
+
+  LinkDirection& loaded = bottleneck.direction_from(ra);
+  auto fault_rng = std::make_shared<util::Rng>(31);
+  loaded.set_fault_filter([fault_rng](const Packet&, SimTime) {
+    return fault_rng->bernoulli(0.01);
+  });
+  auto jitter_rng = std::make_shared<util::Rng>(32);
+  loaded.set_delay_jitter([jitter_rng](SimTime) {
+    return static_cast<SimTime>(jitter_rng->uniform(0.0, 2000.0));
+  });
+
+  SharedBottleneckOutcome out;
+  net.set_delivery_tap([&](const Packet& p, NodeId at, SimTime when) {
+    if (p.proto != Protocol::kTcp) {
+      ++out.cross_delivered;
+      return;
+    }
+    out.foreground.emplace_back(when, at, p.src);
+    if (at == rb && p.src == client) ++out.foreground_on_bottleneck;
+  });
+
+  CrossTrafficConfig ct;
+  ct.burst_rate = kbps(900);
+  ct.mean_on = msec(300);
+  ct.mean_off = msec(300);
+  Cross cross(net, ra, rb, ct, util::Rng(7));
+  cross.start();
+
+  transport::TransportMux client_mux(net, client);
+  transport::TransportMux server_mux(net, server);
+  const transport::TcpConfig cfg;
+  std::unique_ptr<transport::TcpConnection> accepted;
+  transport::TcpListener listener(
+      server_mux, 80, cfg,
+      [&](std::unique_ptr<transport::TcpConnection> c) {
+        accepted = std::move(c);
+      });
+  transport::TcpConnection conn(client_mux, cfg);
+  conn.set_on_established([&] {
+    for (int i = 0; i < kBulkChunks; ++i) {
+      conn.send_chunk(kBulkChunkBytes, std::make_shared<NoMeta>());
+    }
+  });
+  conn.connect({server, 80});
+  sim.run_until(sec(60));
+
+  out.client = conn.stats();
+  if (accepted != nullptr) out.server = accepted->stats();
+  for (std::size_t i = 0; i < net.link_count(); ++i) {
+    const Link& link = net.link(i);
+    out.directions.push_back(link.direction_from(link.a()).stats());
+    out.directions.push_back(link.direction_from(link.b()).stats());
+  }
+  out.events_executed = sim.events_executed();
+  out.events_pending = sim.pending_events();
+  return out;
+}
+
+void expect_same_tcp(const transport::TcpStats& a,
+                     const transport::TcpStats& b) {
+  EXPECT_EQ(a.segments_sent, b.segments_sent);
+  EXPECT_EQ(a.retransmits, b.retransmits);
+  EXPECT_EQ(a.timeouts, b.timeouts);
+  EXPECT_EQ(a.fast_retransmits, b.fast_retransmits);
+  EXPECT_EQ(a.bytes_acked, b.bytes_acked);
+  EXPECT_EQ(a.bytes_delivered, b.bytes_delivered);
+  EXPECT_EQ(a.chunks_delivered, b.chunks_delivered);
+  EXPECT_EQ(a.recovery_enters, b.recovery_enters);
+}
+
+TEST(CrossTraffic, BackgroundLoadMatchesDeliveredPackets) {
+  for (const QueuePolicy policy : {QueuePolicy::kDropTail, QueuePolicy::kRed}) {
+    SCOPED_TRACE(policy == QueuePolicy::kRed ? "red" : "drop-tail");
+    const auto ref = run_shared_bottleneck<PacketCrossTraffic>(policy);
+    const auto now = run_shared_bottleneck<CrossTrafficSource>(policy);
+
+    expect_same_tcp(ref.client, now.client);
+    expect_same_tcp(ref.server, now.server);
+    ASSERT_EQ(ref.directions.size(), now.directions.size());
+    for (std::size_t i = 0; i < ref.directions.size(); ++i) {
+      SCOPED_TRACE(i);
+      EXPECT_EQ(ref.directions[i].packets_sent, now.directions[i].packets_sent);
+      EXPECT_EQ(ref.directions[i].packets_dropped,
+                now.directions[i].packets_dropped);
+      EXPECT_EQ(ref.directions[i].packets_faulted,
+                now.directions[i].packets_faulted);
+      EXPECT_EQ(ref.directions[i].bytes_sent, now.directions[i].bytes_sent);
+      EXPECT_EQ(ref.directions[i].busy_time, now.directions[i].busy_time);
+    }
+    EXPECT_EQ(ref.foreground, now.foreground);
+
+    // The scenario exercises what it claims: the transfer completed through
+    // a bottleneck that both overflowed and corrupted packets.
+    EXPECT_EQ(now.server.bytes_delivered,
+              static_cast<std::uint64_t>(kBulkChunks * kBulkChunkBytes));
+    const LinkStats& loaded = now.directions[2];  // ra -> rb
+    EXPECT_GT(loaded.packets_faulted, 0u);
+    EXPECT_GT(loaded.packets_dropped, loaded.packets_faulted);
+
+    // Background load is never delivered. Each cross packet the bottleneck
+    // transmitted cost the reference exactly one delivery event: executed
+    // by the horizon if it was delivered, still pending otherwise.
+    EXPECT_EQ(now.cross_delivered, 0u);
+    EXPECT_GT(ref.cross_delivered, 0u);
+    EXPECT_EQ(ref.events_executed - now.events_executed, ref.cross_delivered);
+    const std::uint64_t cross_transmitted =
+        loaded.packets_sent - now.foreground_on_bottleneck;
+    EXPECT_EQ((ref.events_executed + ref.events_pending) -
+                  (now.events_executed + now.events_pending),
+              cross_transmitted);
+  }
 }
 
 TEST(PacketPool, SteadyStateForwardingRecyclesSlots) {
