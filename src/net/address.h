@@ -14,6 +14,7 @@ using Port = std::uint16_t;
 inline constexpr Port kRtspPort = 554;
 
 enum class Protocol : std::uint8_t { kTcp, kUdp };
+inline constexpr int kProtocolCount = 2;
 
 constexpr const char* protocol_name(Protocol p) {
   return p == Protocol::kTcp ? "TCP" : "UDP";

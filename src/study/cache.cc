@@ -2,10 +2,9 @@
 
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 
 #include "obs/metrics.h"
-#include "util/check.h"
+#include "util/bytes.h"
 #include "util/rng.h"
 #include "util/strings.h"
 
@@ -18,81 +17,97 @@ constexpr std::uint32_t kVersion = 7;
 // Where cache files live unless the caller overrides (--cache-dir).
 constexpr const char* kDefaultCacheDir = "./.rv_cache";
 
-// --- primitive IO ---------------------------------------------------------
+// Fixed caps on decoded counts; the reader also bounds each by the bytes
+// left.
+constexpr std::size_t kMaxUsers = 10'000;
+constexpr std::size_t kMaxRecords = 1'000'000;
+constexpr std::size_t kMaxSamples = 1u << 20;
 
-template <typename T>
-void put(std::ostream& os, const T& v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  os.write(reinterpret_cast<const char*>(&v), sizeof(v));
+// The RVST field lists, one per struct, shared by save_result (Io =
+// util::ByteWriter) and load_result (Io = util::ByteReader).
+
+// Record naming fields are pooled Symbols stored as plain strings: the
+// bytes are those of the std::string fields they replaced.
+void symbol(util::ByteWriter& w, util::Symbol s) { w.str(s.str()); }
+void symbol(util::ByteReader& r, util::Symbol& s) {
+  std::string_view v;
+  r.str(v);
+  if (r.ok()) s = util::Symbol(v);
 }
 
-template <typename T>
-bool get(std::istream& is, T& v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  is.read(reinterpret_cast<char*>(&v), sizeof(v));
-  return static_cast<bool>(is);
+template <class Io, class User>
+void user_fields(Io& io, User& u) {
+  io.i32(u.id);
+  io.str(u.country);
+  io.str(u.us_state);
+  io.enum_i32(u.region, world::kRegionCount);
+  io.enum_i32(u.group, world::kUserRegionGroupCount);
+  io.enum_i32(u.connection, world::kConnectionClassCount);
+  io.str(u.pc_class);
+  io.boolean(u.udp_blocked);
+  io.boolean(u.rtsp_blocked);
+  io.i32(u.clips_to_play);
+  io.i32(u.clips_to_rate);
+  io.f64(u.isp_load_lo);
+  io.f64(u.isp_load_hi);
+  io.u64(u.seed);
 }
 
-void put_string(std::ostream& os, const std::string& s) {
-  put<std::uint32_t>(os, static_cast<std::uint32_t>(s.size()));
-  os.write(s.data(), static_cast<std::streamsize>(s.size()));
+template <class Io, class Stats>
+void stats_fields(Io& io, Stats& s) {
+  io.boolean(s.session_established);
+  io.boolean(s.played_any_frame);
+  io.enum_u8(s.protocol, net::kProtocolCount);
+  io.boolean(s.fell_back_to_tcp);
+  io.boolean(s.fell_back_to_http);
+  io.i32(s.rtsp_retries);
+  io.f64(s.encoded_bandwidth);
+  io.f64(s.encoded_fps);
+  io.f64(s.measured_bandwidth);
+  io.f64(s.measured_fps);
+  io.f64(s.jitter_ms);
+  io.i64(s.frames_played);
+  io.i64(s.frames_dropped);
+  io.i64(s.frames_cpu_scaled);
+  io.i32(s.rebuffer_events);
+  io.f64(s.rebuffer_seconds);
+  io.f64(s.preroll_seconds);
+  io.f64(s.play_seconds);
+  io.f64(s.cpu_utilization);
+  io.i64(s.bytes_received);
+  io.i64(s.packets_received);
+  io.i64(s.repairs_received);
+  io.list(s.samples, kMaxSamples, [&io](auto& sample) {
+    io.f64(sample.t_seconds);
+    io.f64(sample.bandwidth);
+    io.f64(sample.frame_rate);
+  });
 }
 
-bool get_string(std::istream& is, std::string& s) {
-  std::uint32_t n = 0;
-  if (!get(is, n) || n > (1u << 20)) return false;
-  s.resize(n);
-  is.read(s.data(), n);
-  return static_cast<bool>(is);
+template <class Io, class Record>
+void record_fields(Io& io, Record& r) {
+  io.i32(r.user_id);
+  symbol(io, r.country);
+  symbol(io, r.us_state);
+  io.enum_i32(r.user_group, world::kUserRegionGroupCount);
+  io.enum_i32(r.connection, world::kConnectionClassCount);
+  symbol(io, r.pc_class);
+  io.boolean(r.rtsp_blocked_user);
+  io.u32(r.clip_id);
+  io.u64(r.site);
+  symbol(io, r.server_name);
+  symbol(io, r.server_country);
+  io.enum_i32(r.server_group, world::kServerRegionGroupCount);
+  io.boolean(r.available);
+  stats_fields(io, r.stats);
+  io.f64(r.rating);
 }
 
-void put_stats(std::ostream& os, const client::ClipStats& s) {
-  put(os, s.session_established);
-  put(os, s.played_any_frame);
-  put(os, s.protocol);
-  put(os, s.fell_back_to_tcp);
-  put(os, s.fell_back_to_http);
-  put(os, s.rtsp_retries);
-  put(os, s.encoded_bandwidth);
-  put(os, s.encoded_fps);
-  put(os, s.measured_bandwidth);
-  put(os, s.measured_fps);
-  put(os, s.jitter_ms);
-  put(os, s.frames_played);
-  put(os, s.frames_dropped);
-  put(os, s.frames_cpu_scaled);
-  put(os, s.rebuffer_events);
-  put(os, s.rebuffer_seconds);
-  put(os, s.preroll_seconds);
-  put(os, s.play_seconds);
-  put(os, s.cpu_utilization);
-  put(os, s.bytes_received);
-  put(os, s.packets_received);
-  put(os, s.repairs_received);
-  put<std::uint32_t>(os, static_cast<std::uint32_t>(s.samples.size()));
-  for (const auto& sample : s.samples) put(os, sample);
-}
-
-bool get_stats(std::istream& is, client::ClipStats& s) {
-  bool ok = get(is, s.session_established) && get(is, s.played_any_frame) &&
-            get(is, s.protocol) && get(is, s.fell_back_to_tcp) &&
-            get(is, s.fell_back_to_http) && get(is, s.rtsp_retries) &&
-            get(is, s.encoded_bandwidth) && get(is, s.encoded_fps) &&
-            get(is, s.measured_bandwidth) && get(is, s.measured_fps) &&
-            get(is, s.jitter_ms) && get(is, s.frames_played) &&
-            get(is, s.frames_dropped) && get(is, s.frames_cpu_scaled) &&
-            get(is, s.rebuffer_events) && get(is, s.rebuffer_seconds) &&
-            get(is, s.preroll_seconds) && get(is, s.play_seconds) &&
-            get(is, s.cpu_utilization) && get(is, s.bytes_received) &&
-            get(is, s.packets_received) && get(is, s.repairs_received);
-  if (!ok) return false;
-  std::uint32_t n = 0;
-  if (!get(is, n) || n > (1u << 20)) return false;
-  s.samples.resize(n);
-  for (auto& sample : s.samples) {
-    if (!get(is, sample)) return false;
-  }
-  return true;
+template <class Io, class Result>
+void result_fields(Io& io, Result& result) {
+  io.list(result.users, kMaxUsers, [&io](auto& u) { user_fields(io, u); });
+  io.list(result.records, kMaxRecords,
+          [&io](auto& r) { record_fields(io, r); });
 }
 
 }  // namespace
@@ -150,106 +165,32 @@ std::string default_cache_path(const StudyConfig& config,
 
 bool save_result(const std::string& path, const StudyConfig& config,
                  const StudyResult& result) {
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  if (!os) return false;
-  put(os, kMagic);
-  put(os, kVersion);
-  put(os, config_fingerprint(config));
-
-  put<std::uint32_t>(os, static_cast<std::uint32_t>(result.users.size()));
-  for (const auto& u : result.users) {
-    put(os, u.id);
-    put_string(os, u.country);
-    put_string(os, u.us_state);
-    put(os, u.region);
-    put(os, u.group);
-    put(os, u.connection);
-    put_string(os, u.pc_class);
-    put(os, u.udp_blocked);
-    put(os, u.rtsp_blocked);
-    put(os, u.clips_to_play);
-    put(os, u.clips_to_rate);
-    put(os, u.isp_load_lo);
-    put(os, u.isp_load_hi);
-    put(os, u.seed);
-  }
-
-  put<std::uint32_t>(os, static_cast<std::uint32_t>(result.records.size()));
-  for (const auto& r : result.records) {
-    put(os, r.user_id);
-    put_string(os, r.country);
-    put_string(os, r.us_state);
-    put(os, r.user_group);
-    put(os, r.connection);
-    put_string(os, r.pc_class);
-    put(os, r.rtsp_blocked_user);
-    put(os, r.clip_id);
-    put<std::uint64_t>(os, r.site);
-    put_string(os, r.server_name);
-    put_string(os, r.server_country);
-    put(os, r.server_group);
-    put(os, r.available);
-    put_stats(os, r.stats);
-    put(os, r.rating);
-  }
-  return static_cast<bool>(os);
+  util::ByteWriter w;
+  w.u32(kMagic);
+  w.u32(kVersion);
+  w.u64(config_fingerprint(config));
+  result_fields(w, result);
+  return util::write_file(path, w.bytes());
 }
 
 std::optional<StudyResult> load_result(const std::string& path,
                                        const StudyConfig& config) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return std::nullopt;
+  std::string bytes;
+  if (!util::read_file(path, bytes)) return std::nullopt;
+  util::ByteReader r(bytes);
   std::uint32_t magic = 0;
   std::uint32_t version = 0;
   std::uint64_t fingerprint = 0;
-  if (!get(is, magic) || magic != kMagic) return std::nullopt;
-  if (!get(is, version) || version != kVersion) return std::nullopt;
-  if (!get(is, fingerprint) || fingerprint != config_fingerprint(config)) {
+  r.u32(magic);
+  r.u32(version);
+  r.u64(fingerprint);
+  if (!r.ok() || magic != kMagic || version != kVersion ||
+      fingerprint != config_fingerprint(config)) {
     return std::nullopt;
   }
-
   StudyResult result;
-  std::uint32_t n_users = 0;
-  if (!get(is, n_users) || n_users > 10'000) return std::nullopt;
-  result.users.resize(n_users);
-  for (auto& u : result.users) {
-    if (!(get(is, u.id) && get_string(is, u.country) &&
-          get_string(is, u.us_state) && get(is, u.region) &&
-          get(is, u.group) && get(is, u.connection) &&
-          get_string(is, u.pc_class) && get(is, u.udp_blocked) &&
-          get(is, u.rtsp_blocked) && get(is, u.clips_to_play) &&
-          get(is, u.clips_to_rate) && get(is, u.isp_load_lo) &&
-          get(is, u.isp_load_hi) && get(is, u.seed))) {
-      return std::nullopt;
-    }
-  }
-
-  std::uint32_t n_records = 0;
-  if (!get(is, n_records) || n_records > 1'000'000) return std::nullopt;
-  result.records.resize(n_records);
-  // Record naming fields are pooled Symbols: decode into scratch strings,
-  // then intern. The serialized bytes are unchanged from the std::string
-  // era, so pinned cache md5s survive the interning.
-  std::string country, us_state, pc_class, server_name, server_country;
-  for (auto& r : result.records) {
-    std::uint64_t site = 0;
-    if (!(get(is, r.user_id) && get_string(is, country) &&
-          get_string(is, us_state) && get(is, r.user_group) &&
-          get(is, r.connection) && get_string(is, pc_class) &&
-          get(is, r.rtsp_blocked_user) && get(is, r.clip_id) &&
-          get(is, site) && get_string(is, server_name) &&
-          get_string(is, server_country) && get(is, r.server_group) &&
-          get(is, r.available) && get_stats(is, r.stats) &&
-          get(is, r.rating))) {
-      return std::nullopt;
-    }
-    r.country = country;
-    r.us_state = us_state;
-    r.pc_class = pc_class;
-    r.server_name = server_name;
-    r.server_country = server_country;
-    r.site = site;
-  }
+  result_fields(r, result);
+  if (!r.ok() || r.remaining() != 0) return std::nullopt;
   return result;
 }
 

@@ -3,16 +3,16 @@
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "obs/metrics.h"
 #include "study/engine.h"
 #include "study/spill.h"
+#include "util/bytes.h"
 #include "util/check.h"
 #include "util/strings.h"
 #include "world/path_builder.h"
@@ -30,187 +30,87 @@ std::int64_t micro(double v) {
 
 double from_micro(std::int64_t u) { return static_cast<double>(u) / 1e6; }
 
-void put_u32(std::string& out, std::uint32_t v) {
-  char b[4];
-  std::memcpy(b, &v, 4);
-  out.append(b, 4);
-}
+constexpr std::size_t kMaxTableRows = 1u << 20;
+constexpr std::size_t kMaxBottleneckLinks = 1u << 10;
 
-void put_u64(std::string& out, std::uint64_t v) {
-  char b[8];
-  std::memcpy(b, &v, 8);
-  out.append(b, 8);
-}
+// The RVRU field lists, one per struct, shared by serialize (Io =
+// util::ByteWriter) and parse (Io = util::ByteReader).
 
-void put_i64(std::string& out, std::int64_t v) {
-  put_u64(out, static_cast<std::uint64_t>(v));
-}
-
-void put_f64(std::string& out, double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, 8);
-  put_u64(out, bits);
-}
-
-void put_string(std::string& out, const std::string& s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  out.append(s);
-}
-
-void put_histogram(std::string& out, const stats::MergeableHistogram& h) {
-  put_f64(out, h.lo());
-  put_f64(out, h.hi());
-  put_u32(out, static_cast<std::uint32_t>(h.bins()));
-  std::uint32_t nonzero = 0;
-  for (std::size_t b = 0; b < h.bins(); ++b) {
-    if (h.bin_count(b) != 0) ++nonzero;
-  }
-  put_u32(out, nonzero);
-  for (std::size_t b = 0; b < h.bins(); ++b) {
-    if (h.bin_count(b) == 0) continue;
-    put_u32(out, static_cast<std::uint32_t>(b));
-    put_u64(out, h.bin_count(b));
-  }
-}
-
-// Bounds-checked parse cursor.
-class Reader {
- public:
-  explicit Reader(const std::string& bytes) : p_(bytes.data()), end_(p_ + bytes.size()) {}
-
-  bool ok() const { return ok_; }
-
-  std::uint32_t u32() {
-    std::uint32_t v = 0;
-    take(&v, 4);
-    return v;
-  }
-  std::uint64_t u64() {
-    std::uint64_t v = 0;
-    take(&v, 8);
-    return v;
-  }
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  double f64() {
-    const std::uint64_t bits = u64();
-    double v;
-    std::memcpy(&v, &bits, 8);
-    return v;
-  }
-  std::string str() {
-    const std::uint32_t n = u32();
-    if (!ok_ || static_cast<std::size_t>(end_ - p_) < n) {
-      ok_ = false;
-      return {};
+// Geometry, then the nonzero bins in ascending order as (u32 bin,
+// u64 weight) pairs. Geometries are compiled in (campaign.h,
+// telemetry_report.h): the decoded one must equal the target's, so every
+// parsed rollup merges with every other.
+template <class Io, class H>
+void histogram_fields(Io& io, H& h) {
+  double lo = h.lo();
+  double hi = h.hi();
+  std::uint32_t bins = static_cast<std::uint32_t>(h.bins());
+  io.f64(lo);
+  io.f64(hi);
+  io.u32(bins);
+  io.check(lo == h.lo() && hi == h.hi() && bins == h.bins());
+  std::vector<std::pair<std::uint32_t, std::uint64_t>> nonzero;
+  if constexpr (std::is_const_v<H>) {  // encoding: the pairs come from h
+    for (std::uint32_t b = 0; b < h.bins(); ++b) {
+      if (h.bin_count(b) != 0) nonzero.emplace_back(b, h.bin_count(b));
     }
-    std::string s(p_, n);
-    p_ += n;
-    return s;
   }
-
- private:
-  void take(void* out, std::size_t n) {
-    if (!ok_ || static_cast<std::size_t>(end_ - p_) < n) {
-      ok_ = false;
-      return;
+  io.list(nonzero, h.bins(), [&io](auto& bin) {
+    io.u32(bin.first);
+    io.u64(bin.second);
+  });
+  if constexpr (!std::is_const_v<H>) {  // decoding: the pairs fill h
+    for (std::size_t i = 0; i < nonzero.size() && io.ok(); ++i) {
+      const std::uint32_t b = nonzero[i].first;
+      io.check(b < h.bins() && (i == 0 || nonzero[i - 1].first < b));
+      if (io.ok()) h.add_bin(b, nonzero[i].second);
     }
-    std::memcpy(out, p_, n);
-    p_ += n;
-  }
-
-  const char* p_;
-  const char* end_;
-  bool ok_ = true;
-};
-
-bool read_histogram(Reader& r, stats::MergeableHistogram* out) {
-  const double lo = r.f64();
-  const double hi = r.f64();
-  const std::uint32_t bins = r.u32();
-  const std::uint32_t nonzero = r.u32();
-  if (!r.ok() || bins == 0 || bins > (1u << 20) || nonzero > bins ||
-      !(lo < hi)) {
-    return false;
-  }
-  stats::MergeableHistogram h(lo, hi, bins);
-  for (std::uint32_t i = 0; i < nonzero; ++i) {
-    const std::uint32_t bin = r.u32();
-    const std::uint64_t weight = r.u64();
-    if (!r.ok() || bin >= bins) return false;
-    h.add_bin(bin, weight);
-  }
-  *out = h;
-  return true;
-}
-
-void put_sketch_map(std::string& out,
-                    const std::map<std::string, GroupSketch>& m) {
-  put_u32(out, static_cast<std::uint32_t>(m.size()));
-  for (const auto& [label, sketch] : m) {
-    put_string(out, label);
-    put_histogram(out, sketch.fps);
-    put_histogram(out, sketch.bw);
   }
 }
 
-bool read_sketch_map(Reader& r, std::map<std::string, GroupSketch>* out) {
-  const std::uint32_t n = r.u32();
-  if (!r.ok() || n > (1u << 20)) return false;
-  out->clear();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    std::string label = r.str();
-    GroupSketch sketch;
-    if (!r.ok() || !read_histogram(r, &sketch.fps) ||
-        !read_histogram(r, &sketch.bw)) {
-      return false;
-    }
-    out->emplace(std::move(label), std::move(sketch));
+template <class Io, class Group>
+void group_fields(Io& io, Group& g) {
+  io.u64(g.plays);
+  histogram_fields(io, g.fps);
+  histogram_fields(io, g.bw);
+}
+
+template <class Io, class Sketch>
+void sketch_fields(Io& io, Sketch& s) {
+  histogram_fields(io, s.fps);
+  histogram_fields(io, s.bw);
+}
+
+template <class Io, class Rollup>
+void rollup_fields(Io& io, Rollup& v) {
+  for (auto* n :
+       {&v.user_first, &v.user_count, &v.records, &v.accesses, &v.unavailable,
+        &v.played, &v.rated, &v.udp_plays, &v.tcp_plays, &v.tcp_fallbacks,
+        &v.http_fallbacks, &v.rtsp_retries, &v.rebuffer_events,
+        &v.frames_played, &v.frames_dropped, &v.frames_cpu_scaled,
+        &v.bytes_received, &v.packets_received, &v.repairs_received}) {
+    io.u64(*n);
   }
-  return true;
-}
-
-void put_group_map(std::string& out,
-                   const std::map<std::string, CampaignGroup>& m) {
-  put_u32(out, static_cast<std::uint32_t>(m.size()));
-  for (const auto& [label, group] : m) {
-    put_string(out, label);
-    put_u64(out, group.plays);
-    put_histogram(out, group.fps);
-    put_histogram(out, group.bw);
+  for (auto* sum : {&v.sum_fps_u, &v.sum_bw_kbps_u, &v.sum_jitter_ms_u,
+                    &v.sum_preroll_s_u, &v.sum_rebuffer_s_u, &v.sum_play_s_u,
+                    &v.sum_rating_u}) {
+    io.i64(*sum);
   }
-}
-
-bool read_group_map(Reader& r, std::map<std::string, CampaignGroup>* out) {
-  const std::uint32_t n = r.u32();
-  if (!r.ok() || n > (1u << 20)) return false;
-  out->clear();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    std::string label = r.str();
-    CampaignGroup group;
-    group.plays = r.u64();
-    if (!r.ok() || !read_histogram(r, &group.fps) ||
-        !read_histogram(r, &group.bw)) {
-      return false;
-    }
-    out->emplace(std::move(label), std::move(group));
+  for (auto* h : {&v.h_fps, &v.h_bw, &v.h_jitter, &v.h_preroll, &v.h_rating}) {
+    histogram_fields(io, *h);
   }
-  return true;
-}
-
-std::string pad_left(const std::string& s, std::size_t width) {
-  return s.size() >= width ? s : std::string(width - s.size(), ' ') + s;
-}
-
-std::string pad_right(const std::string& s, std::size_t width) {
-  return s.size() >= width ? s : s + std::string(width - s.size(), ' ');
-}
-
-std::string quantile_triplet(const stats::MergeableHistogram& h,
-                             int decimals) {
-  if (h.total() == 0) return "-";
-  return util::str_cat(util::format_double(h.quantile(0.50), decimals), "/",
-                       util::format_double(h.quantile(0.95), decimals), "/",
-                       util::format_double(h.quantile(0.99), decimals));
+  for (auto* table : {&v.by_class, &v.by_region, &v.by_server}) {
+    io.map(*table, kMaxTableRows, [&io](auto& g) { group_fields(io, g); });
+  }
+  auto& tel = v.telemetry;
+  io.u64(tel.plays);
+  io.u64(tel.samples);
+  for (auto* table : {&tel.by_class, &tel.by_region, &tel.by_server}) {
+    io.map(*table, kMaxTableRows, [&io](auto& s) { sketch_fields(io, s); });
+  }
+  io.map(tel.bottleneck, kMaxTableRows, [&io](auto& row) {
+    io.list(row, kMaxBottleneckLinks, [&io](auto& n) { io.i64(n); });
+  });
 }
 
 std::string mean_of(std::int64_t sum_u, std::uint64_t n, int decimals) {
@@ -397,56 +297,12 @@ std::string CampaignRollup::render() const {
 }
 
 std::string CampaignRollup::serialize() const {
-  std::string out;
-  put_u32(out, kRollupMagic);
-  put_u32(out, kRollupVersion);
-  put_u64(out, user_first);
-  put_u64(out, user_count);
-  put_u64(out, records);
-  put_u64(out, accesses);
-  put_u64(out, unavailable);
-  put_u64(out, played);
-  put_u64(out, rated);
-  put_u64(out, udp_plays);
-  put_u64(out, tcp_plays);
-  put_u64(out, tcp_fallbacks);
-  put_u64(out, http_fallbacks);
-  put_u64(out, rtsp_retries);
-  put_u64(out, rebuffer_events);
-  put_u64(out, frames_played);
-  put_u64(out, frames_dropped);
-  put_u64(out, frames_cpu_scaled);
-  put_u64(out, bytes_received);
-  put_u64(out, packets_received);
-  put_u64(out, repairs_received);
-  put_i64(out, sum_fps_u);
-  put_i64(out, sum_bw_kbps_u);
-  put_i64(out, sum_jitter_ms_u);
-  put_i64(out, sum_preroll_s_u);
-  put_i64(out, sum_rebuffer_s_u);
-  put_i64(out, sum_play_s_u);
-  put_i64(out, sum_rating_u);
-  put_histogram(out, h_fps);
-  put_histogram(out, h_bw);
-  put_histogram(out, h_jitter);
-  put_histogram(out, h_preroll);
-  put_histogram(out, h_rating);
-  put_group_map(out, by_class);
-  put_group_map(out, by_region);
-  put_group_map(out, by_server);
-  put_u64(out, telemetry.plays);
-  put_u64(out, telemetry.samples);
-  put_sketch_map(out, telemetry.by_class);
-  put_sketch_map(out, telemetry.by_region);
-  put_sketch_map(out, telemetry.by_server);
-  put_u32(out, static_cast<std::uint32_t>(telemetry.bottleneck.size()));
-  for (const auto& [label, row] : telemetry.bottleneck) {
-    put_string(out, label);
-    put_u32(out, static_cast<std::uint32_t>(row.size()));
-    for (const int n : row) put_i64(out, n);
-  }
-  put_u32(out, kRollupMagic);
-  return out;
+  util::ByteWriter w;
+  w.u32(kRollupMagic);
+  w.u32(kRollupVersion);
+  rollup_fields(w, *this);
+  w.u32(kRollupMagic);
+  return w.take();
 }
 
 bool CampaignRollup::parse(const std::string& bytes, CampaignRollup* out,
@@ -455,93 +311,36 @@ bool CampaignRollup::parse(const std::string& bytes, CampaignRollup* out,
     if (error != nullptr) *error = what;
     return false;
   };
-  Reader r(bytes);
-  if (r.u32() != kRollupMagic) return fail("not a campaign rollup (bad magic)");
-  if (r.u32() != kRollupVersion) return fail("unsupported rollup version");
+  util::ByteReader r(bytes);
+  std::uint32_t magic = 0;
+  std::uint32_t version = 0;
+  r.u32(magic);
+  if (magic != kRollupMagic) return fail("not a campaign rollup (bad magic)");
+  r.u32(version);
+  if (version != kRollupVersion) return fail("unsupported rollup version");
   CampaignRollup v;
-  v.user_first = r.u64();
-  v.user_count = r.u64();
-  v.records = r.u64();
-  v.accesses = r.u64();
-  v.unavailable = r.u64();
-  v.played = r.u64();
-  v.rated = r.u64();
-  v.udp_plays = r.u64();
-  v.tcp_plays = r.u64();
-  v.tcp_fallbacks = r.u64();
-  v.http_fallbacks = r.u64();
-  v.rtsp_retries = r.u64();
-  v.rebuffer_events = r.u64();
-  v.frames_played = r.u64();
-  v.frames_dropped = r.u64();
-  v.frames_cpu_scaled = r.u64();
-  v.bytes_received = r.u64();
-  v.packets_received = r.u64();
-  v.repairs_received = r.u64();
-  v.sum_fps_u = r.i64();
-  v.sum_bw_kbps_u = r.i64();
-  v.sum_jitter_ms_u = r.i64();
-  v.sum_preroll_s_u = r.i64();
-  v.sum_rebuffer_s_u = r.i64();
-  v.sum_play_s_u = r.i64();
-  v.sum_rating_u = r.i64();
-  if (!r.ok()) return fail("truncated rollup header");
-  if (!read_histogram(r, &v.h_fps) || !read_histogram(r, &v.h_bw) ||
-      !read_histogram(r, &v.h_jitter) || !read_histogram(r, &v.h_preroll) ||
-      !read_histogram(r, &v.h_rating)) {
-    return fail("corrupt rollup histogram");
-  }
-  if (!read_group_map(r, &v.by_class) || !read_group_map(r, &v.by_region) ||
-      !read_group_map(r, &v.by_server)) {
-    return fail("corrupt rollup group table");
-  }
-  v.telemetry.plays = r.u64();
-  v.telemetry.samples = r.u64();
-  if (!r.ok() || !read_sketch_map(r, &v.telemetry.by_class) ||
-      !read_sketch_map(r, &v.telemetry.by_region) ||
-      !read_sketch_map(r, &v.telemetry.by_server)) {
-    return fail("corrupt rollup telemetry section");
-  }
-  const std::uint32_t n_rows = r.u32();
-  if (!r.ok() || n_rows > (1u << 20)) {
-    return fail("corrupt rollup bottleneck table");
-  }
-  for (std::uint32_t i = 0; i < n_rows; ++i) {
-    std::string label = r.str();
-    const std::uint32_t len = r.u32();
-    if (!r.ok() || len > (1u << 10)) {
-      return fail("corrupt rollup bottleneck table");
-    }
-    std::vector<int> row(len);
-    for (auto& n : row) n = static_cast<int>(r.i64());
-    v.telemetry.bottleneck.emplace(std::move(label), std::move(row));
-  }
-  if (!r.ok() || r.u32() != kRollupMagic) {
-    return fail("corrupt rollup trailer");
+  rollup_fields(r, v);
+  std::uint32_t trailer = 0;
+  r.u32(trailer);
+  if (!r.ok() || trailer != kRollupMagic || r.remaining() != 0) {
+    return fail("corrupt or truncated rollup");
   }
   *out = std::move(v);
   return true;
 }
 
 bool CampaignRollup::save(const std::string& path) const {
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  if (!os.good()) return false;
-  const std::string bytes = serialize();
-  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  os.flush();
-  return os.good();
+  return util::write_file(path, serialize());
 }
 
 bool CampaignRollup::load(const std::string& path, CampaignRollup* out,
                           std::string* error) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is.good()) {
+  std::string bytes;
+  if (!util::read_file(path, bytes)) {
     if (error != nullptr) *error = "cannot open rollup file: " + path;
     return false;
   }
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  return parse(buf.str(), out, error);
+  return parse(bytes, out, error);
 }
 
 std::uint64_t peak_rss_kb() {

@@ -138,8 +138,9 @@ struct CampaignRollup {
   // merged == single-process byte-for-byte.
   std::string render() const;
 
-  // Binary serialization ("RVRU"). parse() rejects bad magic/version or
-  // truncated input. save/load wrap them with file I/O.
+  // Binary serialization ("RVRU"). parse() rejects bad magic/version,
+  // truncated or trailing bytes, and sketches whose geometry differs from
+  // the compiled-in one. save/load wrap them with file I/O.
   std::string serialize() const;
   static bool parse(const std::string& bytes, CampaignRollup* out,
                     std::string* error);

@@ -1,7 +1,10 @@
 #include "study/spill.h"
 
-#include <cstring>
+#include <bit>
+#include <concepts>
+#include <utility>
 
+#include "util/bytes.h"
 #include "util/check.h"
 
 namespace rv::study {
@@ -17,6 +20,10 @@ namespace {
 constexpr std::uint32_t kMagic = 0x50535652;     // "RVSP" little-endian
 constexpr std::uint32_t kEndMagic = 0x45535652;  // "RVSE"
 constexpr std::uint32_t kVersion = 1;
+constexpr std::size_t kHeaderBytes = 8;
+constexpr std::size_t kTrailerBytes = 12;
+constexpr std::size_t kMaxStrings = 1u << 20;
+constexpr std::size_t kMaxFrames = 0xFFFFFFFF;  // u32 count; bytes bound it
 
 // Column order within a frame. Fixed by the version: readers decode
 // positionally, and determinism of the file bytes depends on it.
@@ -33,9 +40,9 @@ enum Column : std::size_t {
   kColPacketsReceived,
   kColRepairsReceived,
   kColSampleCount,
-  kColEnums,   // user_group, connection, server_group, protocol (u8 each)
-  kColBools,   // bit-packed flags
-  kColSymbols, // country, us_state, pc_class, server_name, server_country
+  kColEnums,
+  kColBools,
+  kColSymbols,
   kColRating,
   kColEncodedBandwidth,
   kColEncodedFps,
@@ -52,26 +59,6 @@ enum Column : std::size_t {
   kColumnCount,
 };
 
-void put_u32(std::string& out, std::uint32_t v) {
-  char b[4];
-  std::memcpy(b, &v, 4);
-  out.append(b, 4);
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  char b[8];
-  std::memcpy(b, &v, 8);
-  out.append(b, 8);
-}
-
-void put_varint(std::string& out, std::uint64_t v) {
-  while (v >= 0x80) {
-    out.push_back(static_cast<char>((v & 0x7F) | 0x80));
-    v >>= 7;
-  }
-  out.push_back(static_cast<char>(v));
-}
-
 std::uint64_t zigzag(std::int64_t v) {
   return (static_cast<std::uint64_t>(v) << 1) ^
          static_cast<std::uint64_t>(v >> 63);
@@ -82,166 +69,255 @@ std::int64_t unzigzag(std::uint64_t v) {
          -static_cast<std::int64_t>(v & 1);
 }
 
-std::uint64_t double_bits(double d) {
-  std::uint64_t b;
-  std::memcpy(&b, &d, 8);
-  return b;
+// The RVSP field table: every record field, the column it is stored in and
+// that column's encoding. flush_frame encodes and read_frame decodes by
+// walking this one list; within a column, values follow its order.
+//   delta     zigzag varint of the difference from the column's previous
+//             value: monotone-ish columns (user_id, clip_id) take one byte
+//   xor_bits  varint of the double's bits XOR the column's previous bits:
+//             repeated values take one byte, slowly-varying ones share
+//             their high bytes
+//   bit       bit-packed flags, eight per byte, low bit first
+//   enum8     one byte
+//   symbol    varint index into the footer's string table
+//   size      a delta-coded element count
+template <class Io, class Record>
+void record_fields(Io& io, Record& rec) {
+  auto& st = rec.stats;
+  io.delta(kColUserId, rec.user_id);
+  io.delta(kColClipId, rec.clip_id);
+  io.delta(kColSite, rec.site);
+  io.delta(kColRtspRetries, st.rtsp_retries);
+  io.delta(kColRebufferEvents, st.rebuffer_events);
+  io.delta(kColFramesPlayed, st.frames_played);
+  io.delta(kColFramesDropped, st.frames_dropped);
+  io.delta(kColFramesCpuScaled, st.frames_cpu_scaled);
+  io.delta(kColBytesReceived, st.bytes_received);
+  io.delta(kColPacketsReceived, st.packets_received);
+  io.delta(kColRepairsReceived, st.repairs_received);
+  io.enum8(kColEnums, rec.user_group, world::kUserRegionGroupCount);
+  io.enum8(kColEnums, rec.connection, world::kConnectionClassCount);
+  io.enum8(kColEnums, rec.server_group, world::kServerRegionGroupCount);
+  io.enum8(kColEnums, st.protocol, net::kProtocolCount);
+  io.bit(kColBools, rec.rtsp_blocked_user);
+  io.bit(kColBools, rec.available);
+  io.bit(kColBools, st.session_established);
+  io.bit(kColBools, st.played_any_frame);
+  io.bit(kColBools, st.fell_back_to_tcp);
+  io.bit(kColBools, st.fell_back_to_http);
+  io.symbol(kColSymbols, rec.country);
+  io.symbol(kColSymbols, rec.us_state);
+  io.symbol(kColSymbols, rec.pc_class);
+  io.symbol(kColSymbols, rec.server_name);
+  io.symbol(kColSymbols, rec.server_country);
+  io.xor_bits(kColRating, rec.rating);
+  io.xor_bits(kColEncodedBandwidth, st.encoded_bandwidth);
+  io.xor_bits(kColEncodedFps, st.encoded_fps);
+  io.xor_bits(kColMeasuredBandwidth, st.measured_bandwidth);
+  io.xor_bits(kColMeasuredFps, st.measured_fps);
+  io.xor_bits(kColJitterMs, st.jitter_ms);
+  io.xor_bits(kColRebufferSeconds, st.rebuffer_seconds);
+  io.xor_bits(kColPrerollSeconds, st.preroll_seconds);
+  io.xor_bits(kColPlaySeconds, st.play_seconds);
+  io.xor_bits(kColCpuUtilization, st.cpu_utilization);
+  // Every sample takes at least one byte of the sample-time column, which
+  // bounds the decoded count.
+  io.size(kColSampleCount, st.samples, kColSampleT);
+  for (auto& s : st.samples) {
+    io.xor_bits(kColSampleT, s.t_seconds);
+    io.xor_bits(kColSampleBandwidth, s.bandwidth);
+    io.xor_bits(kColSampleFps, s.frame_rate);
+  }
 }
 
-double bits_double(std::uint64_t b) {
-  double d;
-  std::memcpy(&d, &b, 8);
-  return d;
+// The footer's field list, shared by SpillWriter::finish and
+// SpillReader::open.
+template <class Io, class Strings, class Index>
+void footer_fields(Io& io, Strings& strings, Index& index) {
+  io.list(strings, kMaxStrings, [&io](auto& s) { io.str(s); });
+  io.list(index, kMaxFrames, [&io](auto& e) {
+    io.u64(e.offset);
+    io.u64(e.first_record);
+    io.u32(e.record_count);
+  });
 }
 
-// Delta-of-previous zigzag varints: monotone-ish columns (user_id, clip_id)
-// collapse to one byte per record.
-class IntColumn {
+// One frame's columns being encoded. `prev` is the column's last value
+// (delta), last bits (xor_bits) or pending byte (bit); `fill` counts the
+// pending byte's bits.
+class FrameEncoder {
  public:
-  void add(std::int64_t v) {
-    put_varint(buf_, zigzag(v - prev_));
-    prev_ = v;
-  }
-  std::string take() {
-    prev_ = 0;
-    return std::move(buf_);
-  }
+  FrameEncoder(std::unordered_map<std::uint32_t, std::uint32_t>& local_ids,
+               std::vector<std::string>& strings)
+      : local_ids_(local_ids), strings_(strings) {}
 
- private:
-  std::int64_t prev_ = 0;
-  std::string buf_;
-};
-
-// XOR-with-previous varints: repeated doubles (all-zero columns for plays
-// that never established) encode as one byte; slowly-varying mantissas
-// share their high bytes.
-class DoubleColumn {
- public:
-  void add(double d) {
-    const std::uint64_t bits = double_bits(d);
-    put_varint(buf_, bits ^ prev_);
-    prev_ = bits;
+  template <class T>
+  void delta(Column c, T v) {
+    Col& col = cols_[c];
+    const auto x = static_cast<std::uint64_t>(static_cast<std::int64_t>(v));
+    col.out.varint(zigzag(static_cast<std::int64_t>(x - col.prev)));
+    col.prev = x;
   }
-  std::string take() {
-    prev_ = 0;
-    return std::move(buf_);
+  void xor_bits(Column c, double d) {
+    Col& col = cols_[c];
+    const auto bits = std::bit_cast<std::uint64_t>(d);
+    col.out.varint(bits ^ col.prev);
+    col.prev = bits;
   }
-
- private:
-  std::uint64_t prev_ = 0;
-  std::string buf_;
-};
-
-class BoolColumn {
- public:
-  void add(bool b) {
-    if (fill_ == 0) buf_.push_back(0);
-    if (b) buf_.back() = static_cast<char>(buf_.back() | (1 << fill_));
-    fill_ = (fill_ + 1) % 8;
+  void bit(Column c, bool b) {
+    Col& col = cols_[c];
+    col.prev |= static_cast<std::uint64_t>(b) << col.fill;
+    if (++col.fill == 8) flush_bits(col);
   }
-  std::string take() {
-    fill_ = 0;
-    return std::move(buf_);
+  template <class E>
+  void enum8(Column c, E e, int count) {
+    cols_[c].out.enum_u8(e, count);
+  }
+  // File-local string ids in first-appearance order.
+  void symbol(Column c, util::Symbol s) {
+    const auto [it, inserted] = local_ids_.emplace(
+        s.id(), static_cast<std::uint32_t>(strings_.size()));
+    if (inserted) strings_.push_back(s.str());
+    cols_[c].out.varint(it->second);
+  }
+  template <class T>
+  void size(Column c, const std::vector<T>& v, Column /*each*/) {
+    delta(c, v.size());
   }
 
- private:
-  int fill_ = 0;
-  std::string buf_;
-};
-
-// Bounds-checked cursor over an encoded column payload.
-class Cursor {
- public:
-  Cursor(const char* p, std::size_t n) : p_(p), end_(p + n) {}
-
-  bool varint(std::uint64_t& out) {
-    std::uint64_t v = 0;
-    int shift = 0;
-    while (p_ < end_) {
-      const std::uint8_t byte = static_cast<std::uint8_t>(*p_++);
-      if (shift >= 64) return false;
-      v |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
-      if ((byte & 0x80) == 0) {
-        out = v;
-        return true;
-      }
-      shift += 7;
+  // Writes the frame: its header (record count, column count, column
+  // lengths), then each column's payload from its own buffer, so the
+  // frame is never copied whole. Returns the bytes written.
+  std::uint64_t write(std::ostream& os, std::uint32_t record_count) {
+    util::ByteWriter header;
+    header.u32(record_count);
+    header.u32(kColumnCount);
+    for (Col& col : cols_) {
+      if (col.fill > 0) flush_bits(col);
+      header.u32(static_cast<std::uint32_t>(col.out.size()));
     }
-    return false;
+    const auto put = [&os](const std::string& bytes) {
+      os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+      return bytes.size();
+    };
+    std::uint64_t written = put(header.bytes());
+    for (const Col& col : cols_) written += put(col.out.bytes());
+    return written;
   }
 
-  bool bit(bool& out) {
-    if (fill_ == 0) {
-      if (p_ >= end_) return false;
-      byte_ = static_cast<std::uint8_t>(*p_++);
+ private:
+  struct Col {
+    util::ByteWriter out;
+    std::uint64_t prev = 0;
+    int fill = 0;
+  };
+  static void flush_bits(Col& col) {
+    col.out.u8(static_cast<std::uint8_t>(col.prev));
+    col.prev = 0;
+    col.fill = 0;
+  }
+
+  std::unordered_map<std::uint32_t, std::uint32_t>& local_ids_;
+  std::vector<std::string>& strings_;
+  Col cols_[kColumnCount];
+};
+
+// One frame's columns being decoded: the mirror of FrameEncoder. Every
+// column reader fails on its own; ok() is all of them.
+class FrameDecoder {
+ public:
+  explicit FrameDecoder(const std::vector<std::string>& strings)
+      : strings_(strings) {}
+
+  // Reads the frame header and carves the column payloads out of `frame`,
+  // which they must fill exactly.
+  bool split(util::ByteReader& frame, std::uint32_t record_count) {
+    std::uint32_t records = 0, columns = 0;
+    frame.u32(records);
+    frame.u32(columns);
+    frame.check(records == record_count && columns == kColumnCount);
+    std::uint32_t lengths[kColumnCount] = {};
+    for (auto& len : lengths) frame.u32(len);
+    for (std::size_t c = 0; c < kColumnCount; ++c) {
+      std::string_view payload;
+      frame.raw(payload, lengths[c]);
+      cols_[c].in = util::ByteReader(payload);
     }
-    out = (byte_ >> fill_) & 1;
-    fill_ = (fill_ + 1) % 8;
-    return true;
+    return frame.ok() && frame.remaining() == 0;
   }
 
-  bool u8(std::uint8_t& out) {
-    if (p_ >= end_) return false;
-    out = static_cast<std::uint8_t>(*p_++);
+  template <std::integral T>
+  void delta(Column c, T& v) {
+    Col& col = cols_[c];
+    std::uint64_t raw = 0;
+    col.in.varint(raw);
+    col.prev += static_cast<std::uint64_t>(unzigzag(raw));
+    const auto x = static_cast<std::int64_t>(col.prev);
+    col.in.check(std::in_range<T>(x));
+    if (col.in.ok()) v = static_cast<T>(x);
+  }
+  void xor_bits(Column c, double& d) {
+    Col& col = cols_[c];
+    std::uint64_t raw = 0;
+    col.in.varint(raw);
+    col.prev ^= raw;
+    d = std::bit_cast<double>(col.prev);
+  }
+  void bit(Column c, bool& b) {
+    Col& col = cols_[c];
+    if (col.fill == 0) col.in.u8(col.prev);
+    b = ((col.prev >> col.fill) & 1) != 0;
+    col.fill = (col.fill + 1) % 8;
+  }
+  template <class E>
+  void enum8(Column c, E& e, int count) {
+    cols_[c].in.enum_u8(e, count);
+  }
+  void symbol(Column c, util::Symbol& s) {
+    util::ByteReader& in = cols_[c].in;
+    std::size_t id = 0;
+    in.varint(id);
+    in.check(id < strings_.size());
+    if (in.ok()) s = util::Symbol(strings_[id]);
+  }
+  template <class T>
+  void size(Column c, std::vector<T>& v, Column each) {
+    std::size_t n = 0;
+    delta(c, n);
+    cols_[c].in.check(n <= cols_[each].in.remaining());
+    if (cols_[c].in.ok()) v.resize(n);
+  }
+
+  bool ok() const {
+    for (const Col& col : cols_) {
+      if (!col.in.ok()) return false;
+    }
+    return true;
+  }
+  bool exhausted() const {
+    for (const Col& col : cols_) {
+      if (col.in.remaining() != 0) return false;
+    }
     return true;
   }
 
  private:
-  const char* p_;
-  const char* end_;
-  std::uint8_t byte_ = 0;
-  int fill_ = 0;
+  struct Col {
+    util::ByteReader in{{}};
+    std::uint64_t prev = 0;
+    int fill = 0;
+  };
+
+  const std::vector<std::string>& strings_;
+  Col cols_[kColumnCount];
 };
 
-class IntCursor {
- public:
-  IntCursor(const char* p, std::size_t n) : cur_(p, n) {}
-  bool next(std::int64_t& out) {
-    std::uint64_t raw;
-    if (!cur_.varint(raw)) return false;
-    prev_ += unzigzag(raw);
-    out = prev_;
-    return true;
-  }
-
- private:
-  Cursor cur_;
-  std::int64_t prev_ = 0;
-};
-
-class DoubleCursor {
- public:
-  DoubleCursor(const char* p, std::size_t n) : cur_(p, n) {}
-  bool next(double& out) {
-    std::uint64_t raw;
-    if (!cur_.varint(raw)) return false;
-    prev_ ^= raw;
-    out = bits_double(prev_);
-    return true;
-  }
-
- private:
-  Cursor cur_;
-  std::uint64_t prev_ = 0;
-};
-
-bool read_exact(std::ifstream& is, char* buf, std::streamsize n) {
-  is.read(buf, n);
-  return is.gcount() == n && is.good();
-}
-
-bool read_u32(std::ifstream& is, std::uint32_t& v) {
-  char b[4];
-  if (!read_exact(is, b, 4)) return false;
-  std::memcpy(&v, b, 4);
-  return true;
-}
-
-bool read_u64(std::ifstream& is, std::uint64_t& v) {
-  char b[8];
-  if (!read_exact(is, b, 8)) return false;
-  std::memcpy(&v, b, 8);
-  return true;
+// Reads out.size() bytes at `offset`.
+bool read_at(std::ifstream& is, std::uint64_t offset, std::string& out) {
+  is.clear();
+  is.seekg(static_cast<std::streamoff>(offset));
+  is.read(out.data(), static_cast<std::streamsize>(out.size()));
+  return is.gcount() == static_cast<std::streamsize>(out.size());
 }
 
 }  // namespace
@@ -250,23 +326,17 @@ SpillWriter::SpillWriter(const std::string& path)
     : os_(path, std::ios::binary | std::ios::trunc) {
   ok_ = os_.good();
   if (!ok_) return;
-  std::string header;
-  put_u32(header, kMagic);
-  put_u32(header, kVersion);
-  os_.write(header.data(), static_cast<std::streamsize>(header.size()));
+  util::ByteWriter header;
+  header.u32(kMagic);
+  header.u32(kVersion);
+  os_.write(header.bytes().data(),
+            static_cast<std::streamsize>(header.size()));
   ok_ = os_.good();
   bytes_written_ = header.size();
   frame_.reserve(kSpillFrameRecords);
 }
 
 SpillWriter::~SpillWriter() { finish(); }
-
-std::uint32_t SpillWriter::local_id(util::Symbol s) {
-  const auto [it, inserted] =
-      symbol_to_local_.emplace(s.id(), static_cast<std::uint32_t>(strings_.size()));
-  if (inserted) strings_.push_back(s.str());
-  return it->second;
-}
 
 void SpillWriter::append(const tracer::TraceRecord& rec) {
   if (!ok_ || finished_) return;
@@ -281,96 +351,14 @@ void SpillWriter::append(const tracer::TraceRecord& rec) {
 
 void SpillWriter::flush_frame() {
   if (frame_.empty()) return;
-  IntColumn ints[12];
-  DoubleColumn doubles[10];
-  DoubleColumn sample_cols[3];
-  BoolColumn bools;
-  std::string enums;
-  std::string symbols;
-  for (const auto& rec : frame_) {
-    const auto& st = rec.stats;
-    ints[0].add(rec.user_id);
-    ints[1].add(rec.clip_id);
-    ints[2].add(static_cast<std::int64_t>(rec.site));
-    ints[3].add(st.rtsp_retries);
-    ints[4].add(st.rebuffer_events);
-    ints[5].add(st.frames_played);
-    ints[6].add(st.frames_dropped);
-    ints[7].add(st.frames_cpu_scaled);
-    ints[8].add(st.bytes_received);
-    ints[9].add(st.packets_received);
-    ints[10].add(st.repairs_received);
-    ints[11].add(static_cast<std::int64_t>(st.samples.size()));
-    enums.push_back(static_cast<char>(rec.user_group));
-    enums.push_back(static_cast<char>(rec.connection));
-    enums.push_back(static_cast<char>(rec.server_group));
-    enums.push_back(static_cast<char>(st.protocol));
-    bools.add(rec.rtsp_blocked_user);
-    bools.add(rec.available);
-    bools.add(st.session_established);
-    bools.add(st.played_any_frame);
-    bools.add(st.fell_back_to_tcp);
-    bools.add(st.fell_back_to_http);
-    put_varint(symbols, local_id(rec.country));
-    put_varint(symbols, local_id(rec.us_state));
-    put_varint(symbols, local_id(rec.pc_class));
-    put_varint(symbols, local_id(rec.server_name));
-    put_varint(symbols, local_id(rec.server_country));
-    doubles[0].add(rec.rating);
-    doubles[1].add(st.encoded_bandwidth);
-    doubles[2].add(st.encoded_fps);
-    doubles[3].add(st.measured_bandwidth);
-    doubles[4].add(st.measured_fps);
-    doubles[5].add(st.jitter_ms);
-    doubles[6].add(st.rebuffer_seconds);
-    doubles[7].add(st.preroll_seconds);
-    doubles[8].add(st.play_seconds);
-    doubles[9].add(st.cpu_utilization);
-    for (const auto& s : st.samples) {
-      sample_cols[0].add(s.t_seconds);
-      sample_cols[1].add(s.bandwidth);
-      sample_cols[2].add(s.frame_rate);
-    }
-  }
-
-  std::string payloads[kColumnCount];
-  payloads[kColUserId] = ints[0].take();
-  payloads[kColClipId] = ints[1].take();
-  payloads[kColSite] = ints[2].take();
-  payloads[kColRtspRetries] = ints[3].take();
-  payloads[kColRebufferEvents] = ints[4].take();
-  payloads[kColFramesPlayed] = ints[5].take();
-  payloads[kColFramesDropped] = ints[6].take();
-  payloads[kColFramesCpuScaled] = ints[7].take();
-  payloads[kColBytesReceived] = ints[8].take();
-  payloads[kColPacketsReceived] = ints[9].take();
-  payloads[kColRepairsReceived] = ints[10].take();
-  payloads[kColSampleCount] = ints[11].take();
-  payloads[kColEnums] = std::move(enums);
-  payloads[kColBools] = bools.take();
-  payloads[kColSymbols] = std::move(symbols);
-  for (int i = 0; i < 10; ++i) {
-    payloads[kColRating + static_cast<std::size_t>(i)] = doubles[i].take();
-  }
-  payloads[kColSampleT] = sample_cols[0].take();
-  payloads[kColSampleBandwidth] = sample_cols[1].take();
-  payloads[kColSampleFps] = sample_cols[2].take();
-
-  std::string out;
-  put_u32(out, static_cast<std::uint32_t>(frame_.size()));
-  put_u32(out, kColumnCount);
-  for (const auto& p : payloads) {
-    put_u32(out, static_cast<std::uint32_t>(p.size()));
-  }
-  for (const auto& p : payloads) out.append(p);
-
+  FrameEncoder columns(symbol_to_local_, strings_);
+  for (const auto& rec : frame_) record_fields(columns, rec);
   FrameEntry entry;
   entry.offset = static_cast<std::uint64_t>(os_.tellp());
   entry.first_record = records_ - frame_.size();
   entry.record_count = static_cast<std::uint32_t>(frame_.size());
-  os_.write(out.data(), static_cast<std::streamsize>(out.size()));
+  bytes_written_ = entry.offset + columns.write(os_, entry.record_count);
   ok_ = ok_ && os_.good();
-  bytes_written_ = entry.offset + out.size();
   index_.push_back(entry);
   frame_.clear();
 }
@@ -383,21 +371,12 @@ bool SpillWriter::finish() {
   }
   flush_frame();
   const auto footer_offset = static_cast<std::uint64_t>(os_.tellp());
-  std::string footer;
-  put_u32(footer, static_cast<std::uint32_t>(strings_.size()));
-  for (const auto& s : strings_) {
-    put_u32(footer, static_cast<std::uint32_t>(s.size()));
-    footer.append(s);
-  }
-  put_u32(footer, static_cast<std::uint32_t>(index_.size()));
-  for (const auto& e : index_) {
-    put_u64(footer, e.offset);
-    put_u64(footer, e.first_record);
-    put_u32(footer, e.record_count);
-  }
-  put_u64(footer, footer_offset);
-  put_u32(footer, kEndMagic);
-  os_.write(footer.data(), static_cast<std::streamsize>(footer.size()));
+  util::ByteWriter footer;
+  footer_fields(footer, strings_, index_);
+  footer.u64(footer_offset);
+  footer.u32(kEndMagic);
+  os_.write(footer.bytes().data(),
+            static_cast<std::streamsize>(footer.size()));
   os_.flush();
   ok_ = ok_ && os_.good();
   bytes_written_ = footer_offset + footer.size();
@@ -410,75 +389,62 @@ bool SpillReader::open(const std::string& path) {
   ok_ = false;
   error_.clear();
   records_ = 0;
+  footer_offset_ = 0;
   strings_.clear();
   index_.clear();
   is_.close();
   is_.clear();
   is_.open(path, std::ios::binary);
-  if (!is_.good()) {
-    error_ = "cannot open spill file: " + path;
+  const auto fail = [&](const char* what) {
+    error_ = what + path;
     return false;
-  }
+  };
+  if (!is_.good()) return fail("cannot open spill file: ");
+  std::string head(kHeaderBytes, '\0');
+  read_at(is_, 0, head);
+  util::ByteReader h(head);
   std::uint32_t magic = 0, version = 0;
-  if (!read_u32(is_, magic) || magic != kMagic) {
-    error_ = "not a spill file (bad magic): " + path;
-    return false;
-  }
-  if (!read_u32(is_, version) || version != kVersion) {
-    error_ = "unsupported spill version in " + path;
-    return false;
-  }
+  h.u32(magic);
+  h.u32(version);
+  if (magic != kMagic) return fail("not a spill file (bad magic): ");
+  if (version != kVersion) return fail("unsupported spill version in ");
+  is_.clear();
   is_.seekg(0, std::ios::end);
   const auto file_size = static_cast<std::uint64_t>(is_.tellg());
-  if (file_size < 8 + 12) {
-    error_ = "truncated spill file: " + path;
-    return false;
+  if (file_size < kHeaderBytes + kTrailerBytes) {
+    return fail("truncated spill file: ");
   }
-  is_.seekg(static_cast<std::streamoff>(file_size - 12));
-  std::uint64_t footer_offset = 0;
+  const std::uint64_t trailer_offset = file_size - kTrailerBytes;
+  std::string trailer(kTrailerBytes, '\0');
+  const bool have_trailer = read_at(is_, trailer_offset, trailer);
+  util::ByteReader t(trailer);
   std::uint32_t end_magic = 0;
-  if (!read_u64(is_, footer_offset) || !read_u32(is_, end_magic) ||
-      end_magic != kEndMagic || footer_offset >= file_size) {
-    error_ = "corrupt spill trailer in " + path;
-    return false;
+  t.u64(footer_offset_);
+  t.u32(end_magic);
+  if (!have_trailer || end_magic != kEndMagic ||
+      footer_offset_ < kHeaderBytes || footer_offset_ > trailer_offset) {
+    return fail("corrupt spill trailer in ");
   }
-  is_.clear();
-  is_.seekg(static_cast<std::streamoff>(footer_offset));
-  std::uint32_t string_count = 0;
-  if (!read_u32(is_, string_count) || string_count > (1u << 20)) {
-    error_ = "corrupt spill string table in " + path;
-    return false;
+  std::string footer(trailer_offset - footer_offset_, '\0');
+  if (!read_at(is_, footer_offset_, footer)) {
+    return fail("corrupt spill footer in ");
   }
-  strings_.reserve(string_count);
-  for (std::uint32_t i = 0; i < string_count; ++i) {
-    std::uint32_t len = 0;
-    if (!read_u32(is_, len) || len > file_size) {
-      error_ = "corrupt spill string table in " + path;
-      return false;
-    }
-    std::string s(len, '\0');
-    if (len > 0 && !read_exact(is_, s.data(), len)) {
-      error_ = "corrupt spill string table in " + path;
-      return false;
-    }
-    strings_.push_back(std::move(s));
-  }
-  std::uint32_t frame_count = 0;
-  if (!read_u32(is_, frame_count) || frame_count > file_size) {
-    error_ = "corrupt spill frame index in " + path;
-    return false;
-  }
-  index_.reserve(frame_count);
-  for (std::uint32_t i = 0; i < frame_count; ++i) {
-    FrameEntry e;
-    if (!read_u64(is_, e.offset) || !read_u64(is_, e.first_record) ||
-        !read_u32(is_, e.record_count) || e.offset >= footer_offset ||
-        e.first_record != records_) {
-      error_ = "corrupt spill frame index in " + path;
-      return false;
+  util::ByteReader f(footer);
+  footer_fields(f, strings_, index_);
+  if (!f.ok() || f.remaining() != 0) return fail("corrupt spill footer in ");
+  // Frames lie between the header and the footer in index order: a frame's
+  // byte extent runs to the next frame's offset (the footer's for the last)
+  // and bounds its record count, and no frame holds more than a writer puts
+  // in one.
+  for (std::size_t i = 0; i < index_.size(); ++i) {
+    const FrameEntry& e = index_[i];
+    const std::uint64_t end = frame_end(i);
+    if (e.offset < kHeaderBytes || e.offset >= end ||
+        e.first_record != records_ || e.record_count > kSpillFrameRecords ||
+        e.record_count > end - e.offset) {
+      return fail("corrupt spill frame index in ");
     }
     records_ += e.record_count;
-    index_.push_back(e);
   }
   ok_ = true;
   return true;
@@ -489,146 +455,28 @@ std::uint64_t SpillReader::frame_first_record(std::size_t frame) const {
   return index_[frame].first_record;
 }
 
+std::uint64_t SpillReader::frame_end(std::size_t frame) const {
+  return frame + 1 < index_.size() ? index_[frame + 1].offset : footer_offset_;
+}
+
 bool SpillReader::read_frame(std::size_t frame,
                              std::vector<tracer::TraceRecord>& out) const {
   out.clear();
   if (!ok_ || frame >= index_.size()) return false;
   const FrameEntry& entry = index_[frame];
-  is_.clear();
-  is_.seekg(static_cast<std::streamoff>(entry.offset));
-  std::uint32_t record_count = 0, column_count = 0;
-  if (!read_u32(is_, record_count) || record_count != entry.record_count ||
-      !read_u32(is_, column_count) || column_count != kColumnCount) {
-    return false;
-  }
-  std::uint32_t lengths[kColumnCount];
-  std::uint64_t total = 0;
-  for (auto& len : lengths) {
-    if (!read_u32(is_, len)) return false;
-    total += len;
-  }
-  std::string blob(total, '\0');
-  if (total > 0 &&
-      !read_exact(is_, blob.data(), static_cast<std::streamsize>(total))) {
-    return false;
-  }
-  const char* col[kColumnCount];
-  {
-    const char* p = blob.data();
-    for (std::size_t c = 0; c < kColumnCount; ++c) {
-      col[c] = p;
-      p += lengths[c];
-    }
-  }
-  auto int_cursor = [&](std::size_t c) { return IntCursor(col[c], lengths[c]); };
-  auto dbl_cursor = [&](std::size_t c) {
-    return DoubleCursor(col[c], lengths[c]);
-  };
-  IntCursor user_id = int_cursor(kColUserId), clip_id = int_cursor(kColClipId),
-            site = int_cursor(kColSite),
-            rtsp_retries = int_cursor(kColRtspRetries),
-            rebuffer_events = int_cursor(kColRebufferEvents),
-            frames_played = int_cursor(kColFramesPlayed),
-            frames_dropped = int_cursor(kColFramesDropped),
-            frames_cpu_scaled = int_cursor(kColFramesCpuScaled),
-            bytes_received = int_cursor(kColBytesReceived),
-            packets_received = int_cursor(kColPacketsReceived),
-            repairs_received = int_cursor(kColRepairsReceived),
-            sample_count = int_cursor(kColSampleCount);
-  Cursor enums(col[kColEnums], lengths[kColEnums]);
-  Cursor bools(col[kColBools], lengths[kColBools]);
-  Cursor symbols(col[kColSymbols], lengths[kColSymbols]);
-  DoubleCursor rating = dbl_cursor(kColRating),
-               encoded_bandwidth = dbl_cursor(kColEncodedBandwidth),
-               encoded_fps = dbl_cursor(kColEncodedFps),
-               measured_bandwidth = dbl_cursor(kColMeasuredBandwidth),
-               measured_fps = dbl_cursor(kColMeasuredFps),
-               jitter_ms = dbl_cursor(kColJitterMs),
-               rebuffer_seconds = dbl_cursor(kColRebufferSeconds),
-               preroll_seconds = dbl_cursor(kColPrerollSeconds),
-               play_seconds = dbl_cursor(kColPlaySeconds),
-               cpu_utilization = dbl_cursor(kColCpuUtilization),
-               sample_t = dbl_cursor(kColSampleT),
-               sample_bw = dbl_cursor(kColSampleBandwidth),
-               sample_fps = dbl_cursor(kColSampleFps);
-
-  auto symbol = [&](util::Symbol& out_sym) {
-    std::uint64_t local = 0;
-    if (!symbols.varint(local) || local >= strings_.size()) return false;
-    out_sym = util::Symbol(strings_[static_cast<std::size_t>(local)]);
-    return true;
-  };
-
-  out.reserve(record_count);
-  for (std::uint32_t i = 0; i < record_count; ++i) {
+  std::string bytes(frame_end(frame) - entry.offset, '\0');
+  if (!read_at(is_, entry.offset, bytes)) return false;
+  util::ByteReader r(bytes);
+  FrameDecoder columns(strings_);
+  if (!columns.split(r, entry.record_count)) return false;
+  out.reserve(entry.record_count);
+  for (std::uint32_t i = 0; i < entry.record_count; ++i) {
     tracer::TraceRecord rec;
-    auto& st = rec.stats;
-    std::int64_t v = 0;
-    if (!user_id.next(v)) return false;
-    rec.user_id = static_cast<int>(v);
-    if (!clip_id.next(v)) return false;
-    rec.clip_id = static_cast<std::uint32_t>(v);
-    if (!site.next(v)) return false;
-    rec.site = static_cast<std::size_t>(v);
-    if (!rtsp_retries.next(v)) return false;
-    st.rtsp_retries = static_cast<std::int32_t>(v);
-    if (!rebuffer_events.next(v)) return false;
-    st.rebuffer_events = static_cast<std::int32_t>(v);
-    if (!frames_played.next(st.frames_played)) return false;
-    if (!frames_dropped.next(st.frames_dropped)) return false;
-    if (!frames_cpu_scaled.next(st.frames_cpu_scaled)) return false;
-    if (!bytes_received.next(st.bytes_received)) return false;
-    if (!packets_received.next(st.packets_received)) return false;
-    if (!repairs_received.next(st.repairs_received)) return false;
-    std::int64_t n_samples = 0;
-    if (!sample_count.next(n_samples) || n_samples < 0) return false;
-    std::uint8_t e = 0;
-    if (!enums.u8(e)) return false;
-    rec.user_group = static_cast<world::UserRegionGroup>(e);
-    if (!enums.u8(e)) return false;
-    rec.connection = static_cast<world::ConnectionClass>(e);
-    if (!enums.u8(e)) return false;
-    rec.server_group = static_cast<world::ServerRegionGroup>(e);
-    if (!enums.u8(e)) return false;
-    st.protocol = static_cast<net::Protocol>(e);
-    bool b = false;
-    if (!bools.bit(b)) return false;
-    rec.rtsp_blocked_user = b;
-    if (!bools.bit(b)) return false;
-    rec.available = b;
-    if (!bools.bit(b)) return false;
-    st.session_established = b;
-    if (!bools.bit(b)) return false;
-    st.played_any_frame = b;
-    if (!bools.bit(b)) return false;
-    st.fell_back_to_tcp = b;
-    if (!bools.bit(b)) return false;
-    st.fell_back_to_http = b;
-    if (!symbol(rec.country) || !symbol(rec.us_state) ||
-        !symbol(rec.pc_class) || !symbol(rec.server_name) ||
-        !symbol(rec.server_country)) {
-      return false;
-    }
-    if (!rating.next(rec.rating)) return false;
-    if (!encoded_bandwidth.next(st.encoded_bandwidth)) return false;
-    if (!encoded_fps.next(st.encoded_fps)) return false;
-    if (!measured_bandwidth.next(st.measured_bandwidth)) return false;
-    if (!measured_fps.next(st.measured_fps)) return false;
-    if (!jitter_ms.next(st.jitter_ms)) return false;
-    if (!rebuffer_seconds.next(st.rebuffer_seconds)) return false;
-    if (!preroll_seconds.next(st.preroll_seconds)) return false;
-    if (!play_seconds.next(st.play_seconds)) return false;
-    if (!cpu_utilization.next(st.cpu_utilization)) return false;
-    st.samples.resize(static_cast<std::size_t>(n_samples));
-    for (auto& s : st.samples) {
-      if (!sample_t.next(s.t_seconds) || !sample_bw.next(s.bandwidth) ||
-          !sample_fps.next(s.frame_rate)) {
-        return false;
-      }
-    }
+    record_fields(columns, rec);
+    if (!columns.ok()) return false;
     out.push_back(std::move(rec));
   }
-  return true;
+  return columns.exhausted();
 }
 
 bool SpillReader::read_record(std::uint64_t index,

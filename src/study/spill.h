@@ -57,7 +57,6 @@ class SpillWriter {
 
  private:
   void flush_frame();
-  std::uint32_t local_id(util::Symbol s);
 
   std::ofstream os_;
   bool ok_ = false;
@@ -81,7 +80,8 @@ class SpillReader {
   SpillReader() = default;
 
   // Opens and validates the footer. Returns false (with error() set) on a
-  // missing file, bad magic/version, or a truncated/corrupt footer.
+  // missing file, bad magic/version, a truncated/corrupt footer, or a frame
+  // index entry whose record count exceeds its frame's byte extent.
   bool open(const std::string& path);
 
   bool ok() const { return ok_; }
@@ -100,10 +100,14 @@ class SpillReader {
   bool read_record(std::uint64_t index, tracer::TraceRecord& out) const;
 
  private:
+  // Where frame `frame`'s bytes end: the next frame or the footer.
+  std::uint64_t frame_end(std::size_t frame) const;
+
   mutable std::ifstream is_;
   bool ok_ = false;
   std::string error_;
   std::uint64_t records_ = 0;
+  std::uint64_t footer_offset_ = 0;
   std::vector<std::string> strings_;
   struct FrameEntry {
     std::uint64_t offset = 0;

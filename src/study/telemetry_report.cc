@@ -12,7 +12,6 @@
 #include "world/types.h"
 
 namespace rv::study {
-namespace {
 
 std::string pad_left(const std::string& s, std::size_t width) {
   return s.size() >= width ? s : std::string(width - s.size(), ' ') + s;
@@ -29,6 +28,8 @@ std::string quantile_triplet(const stats::MergeableHistogram& h,
                        util::format_double(h.quantile(0.95), decimals), "/",
                        util::format_double(h.quantile(0.99), decimals));
 }
+
+namespace {
 
 void append_group_section(std::string& out, const std::string& title,
                           const std::map<std::string, GroupSketch>& groups) {

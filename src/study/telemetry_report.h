@@ -108,6 +108,13 @@ void write_series_csv(const std::string& path,
 std::vector<obs::CounterSeries> chrome_counter_series(
     const telemetry::PlaySeries& series);
 
+// Report cell helpers shared by the telemetry and campaign renderers:
+// space-padding to a column width, and "p50/p95/p99" of a sketch ("-" when
+// it is empty).
+std::string pad_left(const std::string& s, std::size_t width);
+std::string pad_right(const std::string& s, std::size_t width);
+std::string quantile_triplet(const stats::MergeableHistogram& h, int decimals);
+
 // Renders the worker self-profile (--profile): plan/execute phase walls and
 // the per-worker plays/busy/idle/max-play breakdown.
 std::string profile_report(const StudyProfile& profile);

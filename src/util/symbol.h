@@ -35,7 +35,7 @@ class Symbol {
   // The pooled string. Valid for the life of the process.
   const std::string& str() const;
   // Implicit view so Symbols drop into std::string-shaped APIs (map keys,
-  // CSV cells, put_string) without call-site churn.
+  // CSV cells, codec strings) without call-site churn.
   operator const std::string&() const { return str(); }  // NOLINT
 
   std::uint32_t id() const { return id_; }

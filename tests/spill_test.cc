@@ -7,85 +7,12 @@
 #include <vector>
 
 #include "study/spill.h"
+#include "synthetic_records.h"
 #include "tracer/record.h"
 #include "util/rng.h"
 
 namespace rv::study {
 namespace {
-
-std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  return std::string(std::istreambuf_iterator<char>(is),
-                     std::istreambuf_iterator<char>());
-}
-
-// A synthetic record stream exercising every column: varied symbols from a
-// small vocabulary, negative/large integers, doubles, flags, and samples.
-tracer::TraceRecord make_record(std::uint64_t i, util::Rng& rng) {
-  static const char* kCountries[] = {"US", "UK", "Germany", "Japan", "Brazil"};
-  static const char* kStates[] = {"", "CA", "MA", "WA", "TX"};
-  static const char* kPcs[] = {"Pentium II / 128-256", "Pentium III / 256+",
-                               "486 / <64"};
-  static const char* kServers[] = {"east-1", "west-1", "eu-1"};
-  tracer::TraceRecord rec;
-  rec.user_id = static_cast<int>(i % 63);
-  rec.country = kCountries[i % 5];
-  rec.us_state = kStates[i % 5];
-  rec.user_group = static_cast<world::UserRegionGroup>(i % 4);
-  rec.connection = static_cast<world::ConnectionClass>(i % 3);
-  rec.pc_class = kPcs[i % 3];
-  rec.rtsp_blocked_user = (i % 17) == 0;
-  rec.clip_id = static_cast<std::uint32_t>(i * 7 % 98);
-  rec.site = i % 3;
-  rec.server_name = kServers[i % 3];
-  rec.server_country = (i % 3 == 2) ? "UK" : "US";
-  rec.available = (i % 11) != 0;
-  rec.stats.session_established = rec.available;
-  rec.stats.played_any_frame = rec.available;
-  rec.stats.protocol = (i % 4 == 0) ? net::Protocol::kTcp : net::Protocol::kUdp;
-  rec.stats.fell_back_to_tcp = (i % 8) == 0;
-  rec.stats.fell_back_to_http = (i % 32) == 0;
-  rec.stats.rtsp_retries = static_cast<std::int32_t>(i % 4);
-  rec.stats.encoded_bandwidth = rng.uniform(20e3, 600e3);
-  rec.stats.encoded_fps = rng.uniform(5.0, 30.0);
-  rec.stats.measured_bandwidth = rng.uniform(10e3, 500e3);
-  rec.stats.measured_fps = rng.uniform(1.0, 30.0);
-  rec.stats.jitter_ms = rng.uniform(0.0, 150.0);
-  rec.stats.frames_played = static_cast<std::int64_t>(i * 37 % 5000);
-  rec.stats.frames_dropped = static_cast<std::int64_t>(i % 97);
-  rec.stats.frames_cpu_scaled = static_cast<std::int64_t>(i % 13);
-  rec.stats.rebuffer_events = static_cast<std::int32_t>(i % 5);
-  rec.stats.rebuffer_seconds = rng.uniform(0.0, 20.0);
-  rec.stats.preroll_seconds = rng.uniform(0.5, 12.0);
-  rec.stats.play_seconds = rng.uniform(1.0, 60.0);
-  rec.stats.cpu_utilization = rng.uniform(0.0, 1.0);
-  rec.stats.bytes_received = static_cast<std::int64_t>(i * 104729);
-  rec.stats.packets_received = static_cast<std::int64_t>(i * 331);
-  rec.stats.repairs_received = static_cast<std::int64_t>(i % 29);
-  const int n_samples = static_cast<int>(i % 4);
-  for (int s = 0; s < n_samples; ++s) {
-    client::SecondSample sample;
-    sample.t_seconds = static_cast<double>(s);
-    sample.bandwidth = rng.uniform(1e4, 5e5);
-    sample.frame_rate = rng.uniform(0.0, 30.0);
-    rec.stats.samples.push_back(sample);
-  }
-  rec.rating = (i % 6 == 0) ? rng.uniform(0.0, 10.0) : -1.0;
-  return rec;
-}
-
-std::vector<tracer::TraceRecord> make_records(std::size_t n,
-                                              std::uint64_t seed) {
-  util::Rng rng(seed);
-  std::vector<tracer::TraceRecord> recs;
-  recs.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) recs.push_back(make_record(i, rng));
-  return recs;
-}
 
 void expect_same_record(const tracer::TraceRecord& a,
                         const tracer::TraceRecord& b, std::size_t i) {
@@ -220,6 +147,29 @@ TEST(Spill, RejectsGarbageAndTruncation) {
     SpillReader truncated;
     EXPECT_FALSE(truncated.open(cut)) << "kept " << keep << " bytes";
   }
+}
+
+TEST(Spill, RecordCountBeyondTheFrameIsRejectedNotAllocated) {
+  const std::string path = temp_path("hugecount.spill");
+  {
+    SpillWriter writer(path);
+    for (const auto& rec : make_records(64, 3)) writer.append(rec);
+    ASSERT_TRUE(writer.finish());
+  }
+  // The one frame's header (after the 8-byte file header) and its index
+  // entry (the last field before the 12-byte trailer) both claim
+  // 0xFFFFFFFF records.
+  std::string bytes = read_file(path);
+  const std::string all_ones(4, '\xFF');
+  bytes.replace(8, 4, all_ones);
+  bytes.replace(bytes.size() - 12 - 4, 4, all_ones);
+  util::write_file(path, bytes);
+
+  SpillReader reader;
+  std::vector<tracer::TraceRecord> frame;
+  bool decoded = true;
+  EXPECT_NO_THROW(decoded = reader.open(path) && reader.read_frame(0, frame));
+  EXPECT_FALSE(decoded);
 }
 
 TEST(Spill, ConcatReproducesSingleWriterBytes) {

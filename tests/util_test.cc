@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "util/arena.h"
+#include "util/bytes.h"
 #include "util/check.h"
 #include "util/rng.h"
 #include "util/md5.h"
@@ -517,6 +518,143 @@ TEST(Symbol, ConcurrentInterningIsConsistent) {
   }
   std::set<std::uint32_t> distinct(ids[0].begin(), ids[0].end());
   EXPECT_EQ(distinct.size(), static_cast<std::size_t>(kStrings));
+}
+
+enum class Color { kRed, kGreen, kBlue };
+
+TEST(ByteCodec, RoundTripsEveryOperationLittleEndian) {
+  util::ByteWriter w;
+  w.u8(0xAB);
+  w.u32(0x01020304);
+  w.i32(-7);
+  w.u64(0x1122334455667788ull);
+  w.i64(-1);
+  w.f64(-0.0);
+  w.boolean(true);
+  w.enum_u8(Color::kBlue, 3);
+  w.enum_i32(Color::kGreen, 3);
+  w.str("hello");
+  w.varint(300);
+  w.varint(~0ull);
+  w.list(std::vector<int>{5, -6}, 8, [&w](int v) { w.i64(v); });
+  w.map(std::map<std::string, int>{{"a", 1}, {"b", 2}}, 8,
+        [&w](int v) { w.u8(static_cast<std::uint8_t>(v)); });
+  EXPECT_EQ(w.bytes().substr(1, 4), std::string("\x04\x03\x02\x01", 4));
+  EXPECT_EQ(w.bytes().substr(w.bytes().find("hello") - 4, 4),
+            std::string("\x05\0\0\0", 4));
+
+  util::ByteReader r(w.bytes());
+  std::uint8_t a = 0;
+  std::uint32_t b = 0;
+  int c = 0;
+  std::uint64_t d = 0;
+  std::int64_t e = 0;
+  double f = 1.0;
+  bool g = false;
+  Color h = Color::kRed, i = Color::kRed;
+  std::string j;
+  std::uint32_t k = 0;
+  std::uint64_t l = 0;
+  std::vector<int> m;
+  std::map<std::string, int> n;
+  r.u8(a);
+  r.u32(b);
+  r.i32(c);
+  r.u64(d);
+  r.i64(e);
+  r.f64(f);
+  r.boolean(g);
+  r.enum_u8(h, 3);
+  r.enum_i32(i, 3);
+  r.str(j);
+  r.varint(k);
+  r.varint(l);
+  r.list(m, 8, [&r](int& v) { r.i64(v); });
+  r.map(n, 8, [&r](int& v) { r.u8(v); });
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.remaining(), 0u);
+  EXPECT_EQ(a, 0xAB);
+  EXPECT_EQ(b, 0x01020304u);
+  EXPECT_EQ(c, -7);
+  EXPECT_EQ(d, 0x1122334455667788ull);
+  EXPECT_EQ(e, -1);
+  EXPECT_TRUE(std::signbit(f));
+  EXPECT_TRUE(g);
+  EXPECT_EQ(h, Color::kBlue);
+  EXPECT_EQ(i, Color::kGreen);
+  EXPECT_EQ(j, "hello");
+  EXPECT_EQ(k, 300u);
+  EXPECT_EQ(l, ~0ull);
+  EXPECT_EQ(m, (std::vector<int>{5, -6}));
+  EXPECT_EQ(n, (std::map<std::string, int>{{"a", 1}, {"b", 2}}));
+}
+
+TEST(ByteCodec, FirstFailureIsStickyAndLeavesTargetsUntouched) {
+  util::ByteReader r(std::string_view("\x01\x02\x03", 3));
+  std::uint32_t v = 42;
+  r.u32(v);
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(v, 42u);
+  EXPECT_EQ(r.remaining(), 0u);
+  std::uint8_t byte = 9;
+  r.u8(byte);  // bytes were left, but the reader has already failed
+  EXPECT_EQ(byte, 9);
+  EXPECT_FALSE(r.ok());
+}
+
+TEST(ByteCodec, RejectsValuesOutsideTheirTargetOrRange) {
+  const auto rejects = [](const std::string& bytes, auto read) {
+    util::ByteReader r(bytes);
+    read(r);
+    return !r.ok();
+  };
+  EXPECT_TRUE(rejects("\x02", [](auto& r) { bool b; r.boolean(b); }));
+  EXPECT_TRUE(rejects("\x03", [](auto& r) { Color c; r.enum_u8(c, 3); }));
+  EXPECT_TRUE(rejects(std::string("\xFF\xFF\xFF\xFF", 4),
+                      [](auto& r) { Color c; r.enum_i32(c, 3); }));
+  // An i64 that does not fit an int target.
+  EXPECT_TRUE(rejects(std::string("\0\0\0\0\1\0\0\0", 8),
+                      [](auto& r) { int n; r.i64(n); }));
+  // A u32 varint target given 2^32, a u64 given an eleventh byte, and a
+  // tenth byte carrying more than the u64's top bit.
+  EXPECT_TRUE(rejects("\x80\x80\x80\x80\x10",
+                      [](auto& r) { std::uint32_t n; r.varint(n); }));
+  EXPECT_TRUE(rejects(std::string(10, '\x80') + '\x01',
+                      [](auto& r) { std::uint64_t n; r.varint(n); }));
+  EXPECT_TRUE(rejects(std::string(9, '\x80') + '\x02',
+                      [](auto& r) { std::uint64_t n; r.varint(n); }));
+  EXPECT_TRUE(rejects(std::string("\x05\0\0\0abc", 7),
+                      [](auto& r) { std::string s; r.str(s); }));
+}
+
+TEST(ByteCodec, CountsAreBoundedBeforeAllocating) {
+  // A list claiming 1000 one-byte elements with 3 bytes left, or more than
+  // its cap, fails before the vector is sized.
+  util::ByteWriter w;
+  w.u32(1000);
+  for (const std::uint8_t b : {1, 2, 3}) w.u8(b);
+  std::vector<std::uint8_t> v{7};
+  util::ByteReader r(w.bytes());
+  r.list(v, 1u << 20, [&r](std::uint8_t& x) { r.u8(x); });
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(v, std::vector<std::uint8_t>{7});
+
+  util::ByteWriter capped;
+  capped.list(std::vector<std::uint8_t>{1, 2, 3}, 0,
+              [&capped](std::uint8_t x) { capped.u8(x); });
+  util::ByteReader rc(capped.bytes());
+  rc.list(v, 2, [&rc](std::uint8_t& x) { rc.u8(x); });
+  EXPECT_FALSE(rc.ok());
+
+  // Map keys must arrive strictly ascending, as a std::map writes them.
+  util::ByteWriter unsorted;
+  unsorted.u32(2);
+  unsorted.str("b");
+  unsorted.str("a");
+  std::map<std::string, int> m;
+  util::ByteReader rm(unsorted.bytes());
+  rm.map(m, 8, [](int&) {});
+  EXPECT_FALSE(rm.ok());
 }
 
 TEST(Md5, Rfc1321TestVectors) {
