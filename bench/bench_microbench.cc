@@ -88,10 +88,10 @@ void BM_SimulatorTimerChurn(benchmark::State& state) {
 BENCHMARK(BM_SimulatorTimerChurn);
 
 void BM_SimulatorTimerChurn64k(benchmark::State& state) {
-  // Same churn shape at campaign scale: 64k concurrent timers. A comparison
-  // heap is 8 levels deep here and every pop misses cache walking it; the
-  // timer wheel keeps pop+push O(1), so the per-event gap vs the 64-timer
-  // variant is the structure's payoff on the record.
+  // Same churn shape with 64k concurrent timers. The heap is 8 levels deep
+  // here and pops miss cache walking it, so the per-event gap vs the
+  // 64-timer variant is the price of depth. No study play comes near this
+  // population (BM_SimulatorStudyShape); it bounds a much larger model.
   constexpr int kTimers = 64 * 1024;
   constexpr long kFires = 256 * 1024;
   for (auto _ : state) {
@@ -116,10 +116,10 @@ BENCHMARK(BM_SimulatorTimerChurn64k)->Name("BM_SimulatorTimerChurn/64k")
     ->Unit(benchmark::kMicrosecond);
 
 void BM_SimulatorWheelCascade(benchmark::State& state) {
-  // Worst case for the hierarchical wheel: periods spanning all four levels
-  // (sub-256us through multi-16s), so entries land high and cascade down —
-  // sometimes across several levels — before firing. A pure heap pays
-  // log(n) regardless; the wheel pays its amortised cascade cost here.
+  // Long-horizon mix: 64 timers whose periods span 7 us to 5 minutes, so
+  // near-tied and far-apart keys interleave in one heap. (The name is kept
+  // for baseline continuity: this was the timer wheel's cascade worst case
+  // while the kernel had one.)
   constexpr long kFires = 20000;
   static constexpr int kPeriods[] = {7,      180,    3000,   70000,
                                      900000, 20000000, 300000000};
@@ -143,6 +143,55 @@ void BM_SimulatorWheelCascade(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kFires);
 }
 BENCHMARK(BM_SimulatorWheelCascade);
+
+void BM_SimulatorStudyShape(benchmark::State& state) {
+  // The kernel load of one study play with cross traffic on, as counted in
+  // a traced `retracer --connection dsl --clip 3` play (95k events) and
+  // across a 2%-scale study (78 plays, 12.1M events): at most ~20 events
+  // pending at once, so the heap is 2-3 levels deep; 0.03% of schedules
+  // cancelled before they fire; delays under 1 ms for 4.7% of schedules,
+  // 1-10 ms for 87.9% (cross-traffic and link transmissions), 10-100 ms for
+  // 5.9%, 0.1-1 s for 1.4% and longer for 0.16%.
+  constexpr int kTimers = 20;
+  constexpr long kFires = 100000;
+  constexpr long kCancelEvery = 3000;
+  constexpr std::size_t kDelayMask = 4095;
+  std::vector<SimTime> delays(kDelayMask + 1);
+  util::Rng rng(2001);
+  for (auto& d : delays) {
+    const double u = rng.uniform();
+    d = u < 0.047    ? rng.uniform_int(1, 999)
+        : u < 0.926  ? rng.uniform_int(1000, 9999)
+        : u < 0.985  ? rng.uniform_int(10000, 99999)
+        : u < 0.9984 ? rng.uniform_int(100000, 999999)
+                     : rng.uniform_int(1000000, 5000000);
+  }
+  for (auto _ : state) {
+    sim::Simulator sim;
+    long fired = 0;
+    // A retransmission-style guard timer, disarmed and re-armed every
+    // kCancelEvery fires (~3 simulated seconds, well inside its 30 s).
+    sim::EventId guard = sim::kInvalidEventId;
+    std::function<void()> tick = [&] {
+      ++fired;
+      if (fired % kCancelEvery == 0) {
+        sim.cancel(guard);
+        guard = sim.schedule_in(sec(30), [] {});
+      }
+      if (fired < kFires) {
+        sim.schedule_in(delays[static_cast<std::size_t>(fired) & kDelayMask],
+                        [&tick] { tick(); });
+      }
+    };
+    for (int t = 0; t < kTimers; ++t) {
+      sim.schedule_in(delays[static_cast<std::size_t>(t)], [&tick] { tick(); });
+    }
+    sim.run();
+    benchmark::DoNotOptimize(fired);
+  }
+  state.SetItemsProcessed(state.iterations() * kFires);
+}
+BENCHMARK(BM_SimulatorStudyShape)->Unit(benchmark::kMicrosecond);
 
 void BM_PacketForwardingChain(benchmark::State& state) {
   const auto hops = static_cast<std::size_t>(state.range(0));

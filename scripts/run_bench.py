@@ -85,6 +85,7 @@ TRACKED = [
     "BM_SimulatorTimerChurn",
     "BM_SimulatorTimerChurn/64k",
     "BM_SimulatorWheelCascade",
+    "BM_SimulatorStudyShape",
     "BM_PacketForwardingChain/2",
     "BM_PacketForwardingChain/8",
     "BM_LinkBurstForward",

@@ -1,7 +1,7 @@
 #include "rtsp/http.h"
 
-#include <charconv>
 #include <sstream>
+#include <utility>
 
 #include "util/strings.h"
 
@@ -18,28 +18,6 @@ const char* reason_phrase(int status) {
     case 500: return "Internal Server Error";
     default: return status < 400 ? "OK" : "Error";
   }
-}
-
-// Shares the header-block layout with the RTSP codec.
-bool split_http(std::string_view text, std::string& start_line,
-                HeaderMap& headers, std::string& body) {
-  std::size_t pos = text.find('\n');
-  if (pos == std::string_view::npos) return false;
-  start_line = util::trim(text.substr(0, pos));
-  std::size_t line_start = pos + 1;
-  while (line_start < text.size()) {
-    std::size_t line_end = text.find('\n', line_start);
-    if (line_end == std::string_view::npos) line_end = text.size();
-    const std::string line =
-        util::trim(text.substr(line_start, line_end - line_start));
-    line_start = line_end + 1;
-    if (line.empty()) break;
-    const auto [name, value] = util::split_first(line, ':');
-    if (name.empty()) return false;
-    headers.set(util::trim(name), util::trim(value));
-  }
-  if (line_start < text.size()) body = std::string(text.substr(line_start));
-  return !start_line.empty();
 }
 
 }  // namespace
@@ -66,11 +44,9 @@ std::string HttpResponse::serialize() const {
 }
 
 std::optional<HttpRequest> parse_http_request(std::string_view text) {
-  std::string start_line;
-  HttpRequest req;
-  std::string body;
-  if (!split_http(text, start_line, req.headers, body)) return std::nullopt;
-  const auto parts = util::split(start_line, ' ');
+  auto block = split_header_block(text);
+  if (!block) return std::nullopt;
+  const auto parts = util::split(block->start_line, ' ');
   // The metafile model is HTTP/1.0, but the embedded status exporter feeds
   // this parser requests from real clients (curl, Prometheus), which send
   // HTTP/1.1 — accept both request versions.
@@ -78,27 +54,23 @@ std::optional<HttpRequest> parse_http_request(std::string_view text) {
       (parts[2] != kHttpVersion && parts[2] != "HTTP/1.1")) {
     return std::nullopt;
   }
+  HttpRequest req;
   req.path = parts[1];
+  req.headers = std::move(block->headers);
   return req;
 }
 
 std::optional<HttpResponse> parse_http_response(std::string_view text) {
-  std::string start_line;
-  HttpResponse resp;
-  if (!split_http(text, start_line, resp.headers, resp.body)) {
-    return std::nullopt;
-  }
-  const auto parts = util::split(start_line, ' ');
+  auto block = split_header_block(text);
+  if (!block) return std::nullopt;
+  const auto parts = util::split(block->start_line, ' ');
   if (parts.size() < 2 || parts[0] != kHttpVersion) return std::nullopt;
-  // Status must be exactly three digits ("2xx", "-1", "0200" all invalid).
-  const std::string& code = parts[1];
-  if (code.size() != 3) return std::nullopt;
-  int status = 0;
-  const auto [ptr, ec] = std::from_chars(code.data(), code.data() + 3, status);
-  if (ec != std::errc() || ptr != code.data() + 3 || status < 100) {
-    return std::nullopt;
-  }
-  resp.status = status;
+  const auto status = parse_status_code(parts[1]);
+  if (!status) return std::nullopt;
+  HttpResponse resp;
+  resp.status = *status;
+  resp.headers = std::move(block->headers);
+  resp.body = std::move(block->body);
   return resp;
 }
 

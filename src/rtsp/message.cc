@@ -3,6 +3,7 @@
 #include <array>
 #include <charconv>
 #include <sstream>
+#include <utility>
 
 #include "util/strings.h"
 
@@ -35,31 +36,8 @@ std::optional<int> parse_int(std::string_view s) {
   return value;
 }
 
-// Splits raw text into (start line, headers, body); returns false when the
-// message has no start line.
-bool split_message(std::string_view text, std::string& start_line,
-                   HeaderMap& headers, std::string& body) {
-  std::size_t pos = text.find('\n');
-  if (pos == std::string_view::npos) return false;
-  start_line = util::trim(text.substr(0, pos));
-  std::size_t line_start = pos + 1;
-  while (line_start < text.size()) {
-    std::size_t line_end = text.find('\n', line_start);
-    if (line_end == std::string_view::npos) line_end = text.size();
-    const std::string line =
-        util::trim(text.substr(line_start, line_end - line_start));
-    line_start = line_end + 1;
-    if (line.empty()) break;  // blank line: headers done
-    const auto [name, value] = util::split_first(line, ':');
-    if (name.empty()) return false;
-    headers.set(util::trim(name), util::trim(value));
-  }
-  if (line_start < text.size()) body = std::string(text.substr(line_start));
-  return !start_line.empty();
-}
-
-int cseq_of(const HeaderMap& headers) {
-  const auto v = headers.get("CSeq");
+int take_cseq(HeaderMap& headers) {
+  const auto v = headers.take("CSeq");
   if (!v) return 0;
   return parse_int(*v).value_or(0);
 }
@@ -110,6 +88,47 @@ std::optional<std::string> HeaderMap::get(std::string_view name) const {
   return it->second;
 }
 
+std::optional<std::string> HeaderMap::take(std::string_view name) {
+  auto node = headers_.extract(util::to_lower(name));
+  if (node.empty()) return std::nullopt;
+  return std::move(node.mapped());
+}
+
+std::optional<HeaderBlock> split_header_block(std::string_view text) {
+  const std::size_t pos = text.find('\n');
+  if (pos == std::string_view::npos) return std::nullopt;
+  HeaderBlock block;
+  block.start_line = util::trim(text.substr(0, pos));
+  if (block.start_line.empty()) return std::nullopt;
+  std::size_t line_start = pos + 1;
+  while (line_start < text.size()) {
+    std::size_t line_end = text.find('\n', line_start);
+    if (line_end == std::string_view::npos) line_end = text.size();
+    const std::string line =
+        util::trim(text.substr(line_start, line_end - line_start));
+    line_start = line_end + 1;
+    if (line.empty()) break;  // blank line: headers done
+    const auto [name, value] = util::split_first(line, ':');
+    const std::string key = util::trim(name);
+    if (key.empty()) return std::nullopt;
+    block.headers.set(key, util::trim(value));
+  }
+  if (line_start < text.size()) {
+    block.body = std::string(text.substr(line_start));
+  }
+  return block;
+}
+
+std::optional<int> parse_status_code(std::string_view code) {
+  if (code.size() != 3) return std::nullopt;
+  for (const char c : code) {
+    if (c < '0' || c > '9') return std::nullopt;
+  }
+  const auto status = parse_int(code);
+  if (!status || *status < 100) return std::nullopt;
+  return status;
+}
+
 std::string Request::serialize() const {
   std::ostringstream os;
   os << method_name(method) << ' ' << url << ' ' << kVersion << "\r\n";
@@ -134,28 +153,26 @@ std::string Response::serialize() const {
 }
 
 std::optional<Request> parse_request(std::string_view text) {
-  std::string start_line;
-  Request req;
-  if (!split_message(text, start_line, req.headers, req.body)) {
-    return std::nullopt;
-  }
-  const auto parts = util::split(start_line, ' ');
+  auto block = split_header_block(text);
+  if (!block) return std::nullopt;
+  const auto parts = util::split(block->start_line, ' ');
   if (parts.size() != 3 || parts[2] != kVersion) return std::nullopt;
   const auto method = parse_method(parts[0]);
   if (!method) return std::nullopt;
+  Request req;
+  req.headers = std::move(block->headers);
+  req.body = std::move(block->body);
   req.method = *method;
   req.url = parts[1];
-  req.cseq = cseq_of(req.headers);
+  req.cseq = take_cseq(req.headers);
   return req;
 }
 
 std::optional<Response> parse_response(std::string_view text) {
-  std::string start_line;
-  Response resp;
-  if (!split_message(text, start_line, resp.headers, resp.body)) {
-    return std::nullopt;
-  }
+  auto block = split_header_block(text);
+  if (!block) return std::nullopt;
   // "RTSP/1.0 200 OK" — reason may contain spaces.
+  const std::string& start_line = block->start_line;
   const auto first_space = start_line.find(' ');
   if (first_space == std::string::npos) return std::nullopt;
   if (std::string_view(start_line).substr(0, first_space) != kVersion) {
@@ -166,10 +183,13 @@ std::optional<Response> parse_response(std::string_view text) {
       second_space == std::string::npos
           ? start_line.substr(first_space + 1)
           : start_line.substr(first_space + 1, second_space - first_space - 1);
-  const auto code = parse_int(code_str);
+  const auto code = parse_status_code(code_str);
   if (!code) return std::nullopt;
+  Response resp;
+  resp.headers = std::move(block->headers);
+  resp.body = std::move(block->body);
   resp.status = static_cast<StatusCode>(*code);
-  resp.cseq = cseq_of(resp.headers);
+  resp.cseq = take_cseq(resp.headers);
   return resp;
 }
 
@@ -195,12 +215,18 @@ std::optional<TransportSpec> parse_transport(std::string_view value) {
   for (std::size_t i = 1; i < fields.size(); ++i) {
     const auto [key, val] = util::split_first(util::trim(fields[i]), '=');
     if (util::iequals(key, "client_port")) {
+      // A port outside 1..65535 would otherwise wrap silently when the
+      // server narrows it to net::Port (70000 -> 4464, -1 -> 65535).
       const auto port = parse_int(util::trim(val));
-      if (!port) return std::nullopt;
+      if (!port || *port < 1 || *port > 65535) return std::nullopt;
       spec.client_port = *port;
     }
   }
-  if (spec.use_udp && spec.client_port == 0) return std::nullopt;
+  if (!spec.use_udp) {
+    spec.client_port = 0;  // serialize() omits it for TCP
+  } else if (spec.client_port == 0) {
+    return std::nullopt;
+  }
   return spec;
 }
 

@@ -1,6 +1,5 @@
 #include "sim/simulator.h"
 
-#include <algorithm>
 #include <cstring>
 #include <new>
 #include <utility>
@@ -101,116 +100,13 @@ Simulator::HeapEntry Simulator::heap_pop_root() {
   return root;
 }
 
-std::uint32_t Simulator::grow_node() {
-  const auto n = static_cast<std::uint32_t>(wheel_nodes_.size());
-  wheel_nodes_.push_back(WheelNode{});
-  return n;
-}
-
-void Simulator::wheel_cascade(std::size_t level, std::size_t slot) {
-  // Redistribute the slot one level down. Every earlier slot has drained
-  // (this slot is the lowest occupied at the lowest occupied level), so the
-  // cursor may jump to the slot's start; each entry re-inserts strictly
-  // below `level` because its bytes above `level` now match the cursor and
-  // byte `level` equals the cursor's. Walking the chain head-to-tail and
-  // re-pushing preserves bucket order, and no direct insert can have
-  // targeted the child slots before this cascade ran, so per-bucket FIFO
-  // remains global seq order. Each node is freed just before the re-push
-  // re-acquires it (LIFO freelist), so a cascade never grows the pool.
-  Bucket& b = wheel_[level][slot];
-  wheel_cursor_ = wheel_slot_start(level, slot);
-  std::uint32_t n = b.head;
-  bucket_clear(level, slot);
-  while (n != kNilNode) {
-    WheelNode& node = wheel_nodes_[n];
-    const std::uint32_t next = node.next;
-    const HeapEntry e = node.e;
-    node.next = wheel_free_;
-    wheel_free_ = n;
-    --queue_size_;  // the re-push below restores it; net zero per entry
-    queue_push(e);
-    n = next;
-  }
-}
-
-Simulator::HeapEntry Simulator::queue_pop_slow() {
-  while (true) {
-    if (wheel_summary_ == 0) {
-      --queue_size_;
-      return heap_pop_root();
-    }
-    std::size_t level;
-    std::size_t slot;
-    if (peek_valid_) {
-      level = peek_level_;
-      slot = peek_slot_;
-    } else {
-      wheel_lowest(&level, &slot);
-    }
-    if (level == 0) {
-      // Level-0 bucket front vs overflow-heap root: whichever key is
-      // earlier wins. A heap pop leaves the wheel untouched, so the peek
-      // cache survives it.
-      const HeapEntry front = wheel_nodes_[wheel_[0][slot].head].e;
-      if (heap_size_ > 0 && earlier(heap_[0], front)) {
-        --queue_size_;
-        return heap_pop_root();
-      }
-      return wheel_pop_front(slot);
-    }
-    // A higher-level slot spans a time range; if the heap root fires before
-    // that range even starts, it wins outright. Otherwise cascade the slot
-    // down and re-decide at the finer level (at most kWheelLevels-1 hops).
-    if (heap_size_ > 0 && heap_[0].at() < wheel_slot_start(level, slot)) {
-      --queue_size_;
-      return heap_pop_root();
-    }
-    peek_valid_ = false;
-    wheel_cascade(level, slot);
-  }
-}
-
-bool Simulator::queue_peek_earliest(SimTime* out) const {
-  bool have = false;
-  SimTime best = 0;
-  if (wheel_summary_ != 0) {
-    if (!peek_valid_) {
-      std::size_t level;
-      std::size_t slot;
-      wheel_lowest(&level, &slot);
-      const Bucket& b = wheel_[level][slot];
-      SimTime t = wheel_nodes_[b.head].e.at();
-      if (level > 0) {
-        // Higher-level buckets are not time-sorted; scan for the raw minimum
-        // (rare: once per cascade-sized stretch of the run).
-        for (std::uint32_t n = wheel_nodes_[b.head].next; n != kNilNode;
-             n = wheel_nodes_[n].next) {
-          t = std::min(t, wheel_nodes_[n].e.at());
-        }
-      }
-      peek_level_ = static_cast<std::uint8_t>(level);
-      peek_slot_ = static_cast<std::uint8_t>(slot);
-      peek_time_ = t;
-      peek_valid_ = true;
-    }
-    best = peek_time_;
-    have = true;
-  }
-  if (heap_size_ > 0 && (!have || heap_[0].at() < best)) {
-    best = heap_[0].at();
-    have = true;
-  }
-  *out = best;
-  return have;
-}
-
 void Simulator::release_slot(std::uint32_t slot) {
   Slot& s = slot_ref(slot);
   s.fn = EventFn();
   s.seq_slot = 0;
   s.live = false;
   if (++s.gen == 0) s.gen = 1;  // generation 0 is reserved for invalid ids
-  if (hot_slot_ == kNilNode) {
+  if (hot_slot_ == kNilSlot) {
     hot_slot_ = slot;
   } else {
     free_slots_.push_back(slot);
@@ -272,29 +168,7 @@ void Simulator::reset() {
   slot_count_ = 0;
   free_slots_.clear();
   heap_size_ = 0;
-  // Sweep only occupied wheel buckets (found via the bitmaps); the node
-  // pool keeps its capacity so the next play's wheel is warm.
-  for (std::size_t level = 0; level < kWheelLevels; ++level) {
-    for (std::size_t w = 0; w < kWheelWords; ++w) {
-      std::uint64_t bits = wheel_bitmap_[level][w];
-      while (bits != 0) {
-        const auto bit = static_cast<std::size_t>(__builtin_ctzll(bits));
-        bits &= bits - 1;
-        Bucket& b = wheel_[level][w * 64 + bit];
-        b.head = kNilNode;
-        b.tail = kNilNode;
-      }
-      wheel_bitmap_[level][w] = 0;
-    }
-  }
-  wheel_nodes_.clear();
-  wheel_free_ = kNilNode;
-  hot_node_ = kNilNode;
-  wheel_summary_ = 0;
-  queue_size_ = 0;
-  wheel_cursor_ = 0;
-  peek_valid_ = false;
-  hot_slot_ = kNilNode;
+  hot_slot_ = kNilSlot;
   live_ = 0;
   now_ = 0;
   next_seq_ = 1;
@@ -302,8 +176,8 @@ void Simulator::reset() {
 }
 
 bool Simulator::step() {
-  while (queue_size_ > 0) {
-    const HeapEntry e = queue_pop_earliest();
+  while (heap_size_ > 0) {
+    const HeapEntry e = heap_pop_root();
     const auto slot = static_cast<std::uint32_t>(e.seq_slot() & kSlotMask);
     Slot& s = slot_ref(slot);
     if (s.seq_slot != e.seq_slot()) continue;  // cancellation tombstone
@@ -320,7 +194,7 @@ bool Simulator::step() {
     ++executed_;
     now_ = e.at();
     s.fn.invoke_and_clear();
-    if (hot_slot_ == kNilNode) {
+    if (hot_slot_ == kNilSlot) {
       hot_slot_ = slot;
     } else {
       free_slots_.push_back(slot);
@@ -337,14 +211,12 @@ void Simulator::run() {
 
 void Simulator::run_until(SimTime deadline) {
   RV_CHECK_GE(deadline, now_);
-  // Deliberately checks the raw earliest entry (tombstones included) before
-  // each step, matching the seed kernel's loop exactly: a cancelled entry at
-  // or before the deadline admits one step() that may fire the next live
-  // event even if it lies past the deadline. Byte-identical study output
-  // across the kernel rewrite depends on preserving this quirk, so the peek
-  // reports the exact raw minimum across wheel and heap without cascading.
-  SimTime head = 0;
-  while (queue_peek_earliest(&head) && head <= deadline) {
+  // Deliberately checks the raw heap root (tombstones included) before each
+  // step, matching the seed kernel's loop exactly: a cancelled entry at or
+  // before the deadline admits one step() that may fire the next live event
+  // even if it lies past the deadline. Byte-identical study output across
+  // the kernel rewrite depends on preserving this quirk.
+  while (heap_size_ > 0 && heap_[0].at() <= deadline) {
     if (!step()) break;
   }
   now_ = deadline;

@@ -5,30 +5,22 @@
 // number breaks ties), which makes runs deterministic. Events can be
 // cancelled in O(1) through the EventId returned at scheduling time.
 //
-// The queue is a hybrid: a hierarchical timer wheel (4 levels x 256
-// byte-indexed slots, covering 2^32 us ~ 71 minutes past the wheel cursor)
-// absorbs the churn-heavy near-horizon timer population in O(1) per insert,
-// and the original 4-ary min-heap remains as an always-correct overflow for
-// entries beyond the wheel horizon or behind the cursor. An entry's level is
-// the highest byte in which its time differs from the cursor; buckets are
-// FIFO vectors of the same 16-byte keys the heap uses. Level-0 buckets hold
-// entries of a single exact microsecond, so bucket order == seq order and
-// the front is the minimum; higher-level buckets cascade one level down,
-// lazily, only when the pop reaches their slot. Because cascades happen
-// exactly when every earlier slot has drained, per-bucket FIFO order is
-// schedule order at every level, and the pop sequence is byte-identical to
-// the pure heap's {time, seq} order (differential-tested against the seed
-// kernel in tests/sim_kernel_test.cc).
+// The pending queue is a 4-ary min-heap of 16-byte {time, seq|slot} keys, so
+// the fire order is {time, seq} by construction (differential-tested against
+// the seed kernel in tests/sim_kernel_test.cc). A study play keeps about
+// 20 events pending, so the heap is two or three levels deep. (A
+// hierarchical timer wheel once sat in front of the heap. Nearly every
+// study event landed above its first level and was pushed twice, so it cost
+// the study more than it saved and was removed; see docs/BENCHMARKS.md.)
 //
 // Layout: callbacks live in pooled slots (recycled via a free list) and the
-// wheel/heap hold only 16-byte {time, seq|slot} keys, so sifting never moves
-// a closure and events fire in place — the callback is invoked inside its
-// slot, never copied or moved out. Slots are stored in fixed-size chunks
-// with stable addresses, so pool growth never relocates a pending callback
-// (even when the callback itself schedules and grows the pool). An EventId
-// encodes
+// heap holds only the 16-byte keys, so sifting never moves a closure and
+// events fire in place — the callback is invoked inside its slot, never
+// copied or moved out. Slots are stored in fixed-size chunks with stable
+// addresses, so pool growth never relocates a pending callback (even when
+// the callback itself schedules and grows the pool). An EventId encodes
 // {generation, slot}; cancellation bumps the slot's generation, instantly
-// invalidating the queue entry, which is skipped as a tombstone when it
+// invalidating the heap entry, which is skipped as a tombstone when it
 // surfaces. Cancelling an already-fired or stale id compares generations and
 // is a true no-op — no per-cancel state accumulates (the old kernel leaked
 // an unordered_set entry per stale cancel).
@@ -118,14 +110,10 @@ class Simulator {
 
   // Introspection for tests and benches: total slots ever allocated (bounded
   // by the peak number of simultaneously pending events, regardless of how
-  // many events are scheduled or cancelled over a run) and raw queue entries
-  // across both structures (live events plus not-yet-surfaced cancellation
-  // tombstones).
+  // many events are scheduled or cancelled over a run) and raw heap entries
+  // (live events plus not-yet-surfaced cancellation tombstones).
   std::size_t slot_capacity() const { return slot_count_; }
-  std::size_t heap_size() const { return queue_size_; }
-  // Raw entries currently parked in the overflow heap (beyond the wheel
-  // horizon); exposed so tests can pin the wheel/heap split.
-  std::size_t overflow_size() const { return heap_size_; }
+  std::size_t heap_size() const { return heap_size_; }
 
  private:
   // 16-byte heap entry, a single 128-bit key: timestamp in the high 64 bits,
@@ -185,168 +173,7 @@ class Simulator {
              (slot & kChunkMask));
   }
 
-  // Hierarchical timer wheel. Each level indexes one byte of the timestamp;
-  // level L slot ranges span 256^L microseconds. Entries live in the wheel
-  // iff their time is >= wheel_cursor_ and within 2^32 us of it; everything
-  // else (including times behind a rewound cursor — run_until can roll the
-  // clock back) goes to the overflow heap, which is always correct, just
-  // slower. The cursor only advances during cascades, which only happen when
-  // every earlier wheel slot has fully drained — the invariant that makes
-  // per-bucket FIFO order equal seq order.
-  static constexpr std::size_t kWheelLevels = 4;
-  static constexpr std::size_t kWheelSlots = 256;
-  static constexpr std::size_t kWheelWords = kWheelSlots / 64;
-  static constexpr std::uint32_t kNilNode = 0xffffffffu;
-  // Bucket contents live as {key, next} nodes in one pooled, grow-only
-  // array (wheel_nodes_), recycled through an intrusive freelist — pushing
-  // an entry never allocates in steady state and never scatters across
-  // per-bucket heap blocks. A bucket is just {head, tail} node indices, so
-  // the whole 1024-bucket table is 8 KB of contiguous memory.
-  struct WheelNode {
-    HeapEntry e;
-    std::uint32_t next;
-  };
-  struct Bucket {
-    std::uint32_t head = kNilNode;
-    std::uint32_t tail = kNilNode;
-  };
-
-  // Insert fast path, inlined into arm_slot: wheel placement is a couple of
-  // bit operations plus a freelist pop and a tail link. Only the overflow
-  // heap push and pool growth go out of line.
-  void queue_push(HeapEntry entry) {
-    const auto at = static_cast<std::uint64_t>(entry.at());
-    const std::uint64_t diff = at ^ static_cast<std::uint64_t>(wheel_cursor_);
-    if (__builtin_expect(
-            entry.at() < wheel_cursor_ || (diff >> (8 * kWheelLevels)) != 0,
-            0)) {
-      // Behind the cursor (run_until can rewind the clock) or beyond the
-      // 2^32 us wheel horizon: the heap handles both exactly.
-      heap_push(entry);
-      ++queue_size_;
-      return;
-    }
-    const std::size_t level =
-        diff ? static_cast<std::size_t>(63 - __builtin_clzll(diff)) >> 3 : 0;
-    const std::size_t slot = (at >> (8 * level)) & 0xff;
-    // An entry earlier than the cached raw wheel minimum displaces it (a
-    // later entry cannot land scan-order-before the cached slot, so the
-    // cache survives the common fire-then-reschedule-later pattern).
-    if (peek_valid_ && entry.at() < peek_time_) peek_valid_ = false;
-    // One-deep cache in front of the node freelist: the node released by
-    // the pop that is firing right now is typically re-acquired by the
-    // reschedule it performs — same index, warm line, no freelist loads.
-    std::uint32_t n = hot_node_;
-    if (__builtin_expect(n != kNilNode, 1)) {
-      hot_node_ = kNilNode;
-    } else if ((n = wheel_free_) != kNilNode) {
-      wheel_free_ = wheel_nodes_[n].next;
-    } else {
-      n = grow_node();
-    }
-    WheelNode& node = wheel_nodes_[n];
-    node.e = entry;
-    node.next = kNilNode;
-    Bucket& b = wheel_[level][slot];
-    if (b.head == kNilNode) {
-      b.head = n;
-    } else {
-      wheel_nodes_[b.tail].next = n;
-    }
-    b.tail = n;
-    wheel_bitmap_[level][slot >> 6] |= std::uint64_t{1} << (slot & 63);
-    wheel_summary_ |= std::uint32_t{1}
-                      << (level * kWheelWords + (slot >> 6));
-    ++queue_size_;
-  }
-  std::uint32_t grow_node();
-  // Pop fast path, inlined into step(): the peek-cached (or bitmap-located)
-  // lowest slot is level 0 and the overflow heap is empty — pop the bucket
-  // front. Cascades, heap arbitration and heap-only pops go out of line.
-  __attribute__((always_inline)) HeapEntry queue_pop_earliest() {
-    if (__builtin_expect(wheel_summary_ != 0 && heap_size_ == 0, 1)) {
-      std::size_t level;
-      std::size_t slot;
-      if (peek_valid_) {
-        level = peek_level_;
-        slot = peek_slot_;
-      } else {
-        wheel_lowest(&level, &slot);
-      }
-      if (__builtin_expect(level == 0, 1)) return wheel_pop_front(slot);
-    }
-    return queue_pop_slow();
-  }
-  __attribute__((always_inline)) HeapEntry wheel_pop_front(std::size_t slot) {
-    // All entries in a level-0 bucket share one exact microsecond, so the
-    // FIFO front is the bucket minimum (seq order).
-    Bucket& b = wheel_[0][slot];
-    const std::uint32_t n = b.head;
-    WheelNode& node = wheel_nodes_[n];
-    const HeapEntry front = node.e;
-    b.head = node.next;
-    if (__builtin_expect(hot_node_ == kNilNode, 1)) {
-      hot_node_ = n;
-    } else {
-      node.next = wheel_free_;
-      wheel_free_ = n;
-    }
-    --queue_size_;
-    if (b.head == kNilNode) {
-      // Bucket drained; head is already kNilNode from the pop itself.
-      peek_valid_ = false;
-      b.tail = kNilNode;
-      std::uint64_t& word = wheel_bitmap_[0][slot >> 6];
-      word &= ~(std::uint64_t{1} << (slot & 63));
-      if (word == 0) wheel_summary_ &= ~(std::uint32_t{1} << (slot >> 6));
-    } else {
-      // The bucket still holds same-microsecond entries: it remains the
-      // lowest occupied slot and its raw minimum time is unchanged, so the
-      // next pop (or peek) skips the scan entirely.
-      peek_valid_ = true;
-      peek_level_ = 0;
-      peek_slot_ = static_cast<std::uint8_t>(slot);
-      peek_time_ = front.at();
-    }
-    return front;
-  }
-  HeapEntry queue_pop_slow();
-  // Raw earliest pending time, tombstones included, without cascading.
-  // Returns false when both structures are empty. Caches the located wheel
-  // slot so the pop that typically follows skips the scan.
-  bool queue_peek_earliest(SimTime* out) const;
-  void wheel_cascade(std::size_t level, std::size_t slot);
-  void bucket_clear(std::size_t level, std::size_t slot) {
-    Bucket& b = wheel_[level][slot];
-    b.head = kNilNode;
-    b.tail = kNilNode;
-    std::uint64_t& word = wheel_bitmap_[level][slot >> 6];
-    word &= ~(std::uint64_t{1} << (slot & 63));
-    if (word == 0) {
-      wheel_summary_ &=
-          ~(std::uint32_t{1} << (level * kWheelWords + (slot >> 6)));
-    }
-  }
-  // Lowest occupied (level, slot): one ctz on the 32-bit summary (bit
-  // level*4+word set iff that bitmap word is nonzero), one ctz on the word.
-  // Precondition: wheel nonempty.
-  void wheel_lowest(std::size_t* level, std::size_t* slot) const {
-    const auto bit =
-        static_cast<std::size_t>(__builtin_ctz(wheel_summary_));
-    *level = bit >> 2;
-    const std::size_t word = bit & 3;
-    *slot = word * 64 +
-            static_cast<std::size_t>(
-                __builtin_ctzll(wheel_bitmap_[*level][word]));
-  }
-  SimTime wheel_slot_start(std::size_t level, std::size_t slot) const {
-    const std::uint64_t hi =
-        static_cast<std::uint64_t>(wheel_cursor_) &
-        (~std::uint64_t{0} << (8 * (level + 1)));
-    return static_cast<SimTime>(hi |
-                                (static_cast<std::uint64_t>(slot)
-                                 << (8 * level)));
-  }
+  static constexpr std::uint32_t kNilSlot = 0xffffffffu;  // empty hot_slot_
 
   void heap_push(HeapEntry entry);
   HeapEntry heap_pop_root();
@@ -360,9 +187,9 @@ class Simulator {
     // One-deep cache in front of the free list: the slot freed by the event
     // that is firing right now is typically re-acquired by the reschedule it
     // performs, skipping the vector round trip entirely.
-    if (hot_slot_ != kNilNode) {
+    if (hot_slot_ != kNilSlot) {
       const std::uint32_t slot = hot_slot_;
-      hot_slot_ = kNilNode;
+      hot_slot_ = kNilSlot;
       return slot;
     }
     if (!free_slots_.empty()) {
@@ -384,49 +211,27 @@ class Simulator {
   EventId arm_slot(SimTime at, std::uint32_t slot, Slot& s) {
     s.seq_slot = (next_seq_++ << kSlotBits) | slot;
     s.live = true;
-    queue_push(make_entry(at, s.seq_slot));
+    heap_push(make_entry(at, s.seq_slot));
     ++live_;
     return make_id(s.gen, slot);
   }
 
-  // Hot scalars first, packed into the leading cache lines: every event
-  // touches most of these, and keeping them in front of the 8 KB bucket
-  // table stops the per-event working set from spanning the whole object.
+  // Hot scalars first: every event touches most of these.
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 1;
-  // Total pending entries across wheel and overflow heap, tombstones
-  // included — the only counter the run loop touches per event.
-  std::size_t queue_size_ = 0;
   std::uint64_t executed_ = 0;
   std::size_t live_ = 0;
   // First slot chunk, cached raw: slot_ref resolves slots < kChunkSize (the
   // steady state of every real play) with one load instead of two.
   unsigned char* chunk0_ = nullptr;
-  std::uint32_t hot_slot_ = kNilNode;  // one-deep slot free-list cache
-  std::uint32_t hot_node_ = kNilNode;  // one-deep wheel-node freelist cache
-  std::uint32_t wheel_free_ = kNilNode;  // freelist threaded through .next
-  std::uint32_t wheel_summary_ = 0;  // bit level*4+word set iff word nonzero
-  SimTime wheel_cursor_ = 0;
-  // Peek cache: run_until peeks the raw minimum before every step; the pop
-  // inside that step reuses the located wheel slot instead of re-scanning.
-  // A push invalidates only when it beats the cached minimum; pops always
-  // invalidate.
-  mutable bool peek_valid_ = false;
-  mutable std::uint8_t peek_level_ = 0;
-  mutable std::uint8_t peek_slot_ = 0;
-  mutable SimTime peek_time_ = 0;
-  // The overflow heap is a flat 64-byte-aligned buffer managed by hand (push
-  // keeps the capacity check off the hot path as an expect-false branch;
-  // growth is a plain memcpy since HeapEntry is trivially copyable).
+  std::uint32_t hot_slot_ = kNilSlot;  // one-deep slot free-list cache
+  // The heap is a flat 64-byte-aligned buffer managed by hand (push keeps
+  // the capacity check off the hot path as an expect-false branch; growth
+  // is a plain memcpy since HeapEntry is trivially copyable).
   HeapEntry* heap_ = nullptr;
   std::size_t heap_size_ = 0;
   std::size_t heap_cap_ = 0;
   std::size_t slot_count_ = 0;  // constructed slots (pool high-water mark)
-  std::uint64_t wheel_bitmap_[kWheelLevels][kWheelWords] = {};
-  // Wheel state. The node pool keeps its capacity across plays (reset()
-  // clears, never frees), so the steady-state wheel is allocation-free.
-  Bucket wheel_[kWheelLevels][kWheelSlots];
-  std::vector<WheelNode> wheel_nodes_;
   std::vector<std::unique_ptr<unsigned char[]>> chunks_;
   std::vector<std::uint32_t> free_slots_;
 };

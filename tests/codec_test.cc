@@ -3,18 +3,17 @@
 // their decoders driven with seeded corruptions of valid files.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "mutation.h"
 #include "study/cache.h"
 #include "study/campaign.h"
 #include "study/spill.h"
 #include "synthetic_records.h"
 #include "util/md5.h"
-#include "util/rng.h"
 
 namespace rv::study {
 namespace {
@@ -112,70 +111,7 @@ TEST(StudyCache, RecordCountBeyondTheFileIsRejected) {
   EXPECT_FALSE(load_result(path, StudyConfig{}).has_value());
 }
 
-// Seeded corruption of a valid encoding: bit flips, byte overwrites (random
-// or all-ones, i.e. a count or length at its maximum), truncations and
-// splices of one range of the input over or into another.
-std::string mutate(const std::string& in, util::Rng& rng) {
-  const auto pick = [&rng](std::size_t n) {
-    return static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
-  };
-  std::string m = in;
-  switch (rng.uniform_int(0, 3)) {
-    case 0:
-      for (auto n = rng.uniform_int(1, 4); n > 0; --n) {
-        m[pick(m.size())] ^= static_cast<char>(1 << rng.uniform_int(0, 7));
-      }
-      break;
-    case 1: {
-      const std::size_t at = pick(m.size());
-      const bool ones = rng.bernoulli(0.5);
-      for (std::size_t i = at; i < std::min(m.size(), at + 8); ++i) {
-        m[i] = ones ? '\xFF' : static_cast<char>(rng.uniform_int(0, 255));
-      }
-      break;
-    }
-    case 2:
-      m.resize(pick(m.size()));
-      break;
-    default: {
-      const std::size_t from = pick(in.size());
-      const std::string piece =
-          in.substr(from, static_cast<std::size_t>(rng.uniform_int(1, 64)));
-      const std::size_t to = pick(m.size());
-      if (rng.bernoulli(0.5)) {
-        m.replace(to, piece.size(), piece);
-      } else {
-        m.insert(to, piece);
-      }
-    }
-  }
-  return m;
-}
-
-// Every mutant must be rejected, or decode without an exception and
-// re-encode to bytes that decode again to the same re-encoding. Both
-// outcomes must occur, so the test exercises the decoder past its header.
-struct Outcomes {
-  int rejected = 0;
-  int decoded = 0;
-};
-
-template <class RoundTrip>
-Outcomes run_mutants(const std::string& valid, int iterations,
-                     std::uint64_t seed, RoundTrip round_trip) {
-  util::Rng rng(seed);
-  Outcomes outcomes;
-  for (int i = 0; i < iterations; ++i) {
-    SCOPED_TRACE("mutant " + std::to_string(i));
-    bool decoded = false;
-    EXPECT_NO_THROW(decoded = round_trip(mutate(valid, rng)));
-    ++(decoded ? outcomes.decoded : outcomes.rejected);
-  }
-  EXPECT_GT(outcomes.rejected, 0);
-  EXPECT_GT(outcomes.decoded, 0);
-  return outcomes;
-}
+using mutation::run_mutants;
 
 TEST(CodecMutation, StudyCacheRejectsOrRoundTrips) {
   const StudyConfig config;

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "mutation.h"
 #include "rtsp/http.h"
 
 namespace rv::rtsp {
@@ -86,6 +89,39 @@ TEST(Http, ValidThreeDigitStatusesParse) {
   const auto err = parse_http_response("HTTP/1.0 599 Ugh\r\n\r\n");
   ASSERT_TRUE(err.has_value());
   EXPECT_EQ(err->status, 599);
+}
+
+TEST(HttpMutation, RequestRejectsOrRoundTrips) {
+  HttpRequest req;
+  req.path = "/clip/203.ram";
+  req.headers.set("Host", "site3");
+  req.headers.set("User-Agent", "RealTracer/1.0");
+  req.headers.set("Accept", "*/*");
+  mutation::run_mutants(
+      req.serialize(), 3000, 401, [](const std::string& mutant) {
+        return mutation::parses_and_round_trips(
+            mutant, parse_http_request,
+            [](const HttpRequest& a, const HttpRequest& b) {
+              return a.path == b.path && a.headers == b.headers;
+            });
+      });
+}
+
+TEST(HttpMutation, ResponseRejectsOrRoundTrips) {
+  HttpResponse resp;
+  resp.status = 200;
+  resp.headers.set("Content-Type", "audio/x-pn-realaudio");
+  resp.headers.set("Content-Length", "39");
+  resp.body = make_ram_metafile("rtsp://site3/clip/203");
+  mutation::run_mutants(
+      resp.serialize(), 3000, 402, [](const std::string& mutant) {
+        return mutation::parses_and_round_trips(
+            mutant, parse_http_response,
+            [](const HttpResponse& a, const HttpResponse& b) {
+              return a.status == b.status && a.headers == b.headers &&
+                     a.body == b.body;
+            });
+      });
 }
 
 TEST(Http, RamMetafileRoundTrip) {

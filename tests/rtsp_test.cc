@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "mutation.h"
 #include "rtsp/http.h"
 #include "rtsp/message.h"
 #include "util/rng.h"
@@ -59,6 +62,19 @@ TEST(Message, RejectsMalformed) {
   EXPECT_FALSE(parse_response("RTSP/1.0 banana OK\r\n\r\n").has_value());
 }
 
+TEST(Message, ResponseStatusMustBeExactlyThreeDigits) {
+  for (const char* status : {"2xx", "-1", "0200", "20", "20a", "2000", "099",
+                             "+20", ""}) {
+    EXPECT_FALSE(parse_response(std::string("RTSP/1.0 ") + status +
+                                " OK\r\nCSeq: 1\r\n\r\n")
+                     .has_value())
+        << status;
+  }
+  const auto ok = parse_response("RTSP/1.0 461\r\nCSeq: 1\r\n\r\n");
+  ASSERT_TRUE(ok.has_value());
+  EXPECT_EQ(ok->status, StatusCode::kUnsupportedTransport);
+}
+
 TEST(Message, MethodNamesRoundTrip) {
   for (const Method m :
        {Method::kOptions, Method::kDescribe, Method::kSetup, Method::kPlay,
@@ -102,6 +118,96 @@ TEST(Transport, RejectsUnknownOrIncomplete) {
   EXPECT_FALSE(parse_transport("").has_value());
   EXPECT_FALSE(
       parse_transport("x-real-rdt/udp;client_port=banana").has_value());
+}
+
+TEST(Transport, RejectsClientPortOutsideTheUdpPortRange) {
+  // The server narrows the port to 16 bits, so an accepted 70000 would
+  // become 4464 and -1 would become 65535.
+  for (const char* port : {"0", "-1", "65536", "70000", "4294967296"}) {
+    EXPECT_FALSE(
+        parse_transport(std::string("x-real-rdt/udp;client_port=") + port)
+            .has_value())
+        << port;
+    EXPECT_FALSE(
+        parse_transport(std::string("x-real-rdt/tcp;client_port=") + port)
+            .has_value())
+        << port;
+  }
+  const auto low = parse_transport("x-real-rdt/udp;client_port=1");
+  ASSERT_TRUE(low.has_value());
+  EXPECT_EQ(low->client_port, 1);
+  const auto high = parse_transport("x-real-rdt/udp;client_port=65535");
+  ASSERT_TRUE(high.has_value());
+  EXPECT_EQ(high->client_port, 65535);
+  // TCP carries no data port: one given is checked, then dropped, exactly
+  // as serialize() drops it.
+  const auto tcp = parse_transport("x-real-rdt/tcp;client_port=6970");
+  ASSERT_TRUE(tcp.has_value());
+  EXPECT_EQ(tcp->client_port, 0);
+}
+
+bool same_request(const Request& a, const Request& b) {
+  return a.method == b.method && a.url == b.url && a.cseq == b.cseq &&
+         a.headers == b.headers && a.body == b.body;
+}
+
+bool same_response(const Response& a, const Response& b) {
+  return a.status == b.status && a.cseq == b.cseq && a.headers == b.headers &&
+         a.body == b.body;
+}
+
+TEST(RtspMutation, RequestRejectsOrRoundTrips) {
+  Request req;
+  req.method = Method::kSetup;
+  req.url = "rtsp://site3/news-17.rm";
+  req.cseq = 4;
+  req.headers.set("Transport", "x-real-rdt/udp;client_port=6970");
+  req.headers.set("Bandwidth", "56000");
+  req.headers.set("Session", "0000beef");
+  req.headers.set("User-Agent", "RealTracer/1.0");
+  req.body = "x-param: 1\r\n";
+  mutation::run_mutants(req.serialize(), 3000, 301,
+                        [](const std::string& mutant) {
+                          return mutation::parses_and_round_trips(
+                              mutant, parse_request, same_request);
+                        });
+}
+
+TEST(RtspMutation, ResponseRejectsOrRoundTrips) {
+  Response resp;
+  resp.status = StatusCode::kOk;
+  resp.cseq = 4;
+  resp.headers.set("Session", "0000beef");
+  resp.headers.set("Transport",
+                   "x-real-rdt/udp;client_port=6970;server_port=7002");
+  resp.body = "v=0\r\nm=video 0 RTP/AVP 101\r\na=length:npt=60\r\n";
+  mutation::run_mutants(resp.serialize(), 3000, 302,
+                        [](const std::string& mutant) {
+                          return mutation::parses_and_round_trips(
+                              mutant, parse_response, same_response);
+                        });
+}
+
+TEST(RtspMutation, TransportRejectsOrRoundTrips) {
+  mutation::run_mutants(
+      "x-real-rdt/udp;client_port=6970;server_port=7002;mode=play", 3000, 303,
+      [](const std::string& mutant) {
+        const auto spec = parse_transport(mutant);
+        if (!spec) return false;
+        if (spec->use_udp) {
+          EXPECT_GE(spec->client_port, 1);
+          EXPECT_LE(spec->client_port, 65535);
+        } else {
+          EXPECT_EQ(spec->client_port, 0);
+        }
+        const auto back = parse_transport(spec->serialize());
+        EXPECT_TRUE(back.has_value()) << spec->serialize();
+        if (back) {
+          EXPECT_EQ(back->use_udp, spec->use_udp);
+          EXPECT_EQ(back->client_port, spec->client_port);
+        }
+        return true;
+      });
 }
 
 TEST(Session, HappyPathLifecycle) {

@@ -177,10 +177,10 @@ TEST(SimKernelDifferential, FireLogsMatchLegacyKernel) {
   }
 }
 
-// Long-horizon variant: deltas span every wheel level (sub-256us, 256us
-// blocks, 65ms blocks, 16s blocks) plus far-future times past the 2^32 us
-// wheel horizon, so the log only matches if cascades, the overflow heap, and
-// the wheel/heap pop arbitration all preserve exact {time, seq} order.
+// Long-horizon variant: deltas span nine orders of magnitude (sub-256us,
+// 256us blocks, 65ms blocks, 16s blocks) plus far-future times past 2^32 us,
+// so the log only matches if the heap keeps exact {time, seq} order across
+// the full 64-bit time key, not just among near-tied timestamps.
 template <typename Sim>
 std::vector<FireRecord> drive_multilevel(std::uint32_t seed) {
   Sim sim;
@@ -189,16 +189,16 @@ std::vector<FireRecord> drive_multilevel(std::uint32_t seed) {
   std::vector<EventId> ids;
   int next_label = 0;
 
-  // Deltas chosen per level; the huge bucket exceeds the 71-minute wheel
-  // horizon and must take the overflow-heap path in the hybrid.
+  // Deltas chosen per magnitude band; the last band lies past 2^32 us
+  // (~71 minutes), where the time key's upper 32 bits come into play.
   const auto pick_delta = [&]() -> SimTime {
     switch (rng() % 6) {
-      case 0: return static_cast<SimTime>(rng() % 4);            // level 0 ties
-      case 1: return static_cast<SimTime>(rng() % 256);          // level 0/1
-      case 2: return static_cast<SimTime>(rng() % (256 * 256));  // level 1/2
-      case 3: return static_cast<SimTime>(rng() % (1 << 24));    // level 2/3
-      case 4: return static_cast<SimTime>(rng() % (1u << 31));   // level 3
-      default:  // beyond the wheel horizon: overflow heap
+      case 0: return static_cast<SimTime>(rng() % 4);            // exact ties
+      case 1: return static_cast<SimTime>(rng() % 256);          // < 256 us
+      case 2: return static_cast<SimTime>(rng() % (256 * 256));  // < 65 ms
+      case 3: return static_cast<SimTime>(rng() % (1 << 24));    // < 17 s
+      case 4: return static_cast<SimTime>(rng() % (1u << 31));   // < 36 min
+      default:  // past 2^32 us
         return static_cast<SimTime>((std::uint64_t{1} << 32) + rng() % 100000);
     }
   };
@@ -232,7 +232,7 @@ std::vector<FireRecord> drive_multilevel(std::uint32_t seed) {
         if (!ids.empty()) sim.cancel(ids[rng() % ids.size()]);
         break;
       }
-      case 5: {  // deadlines long enough to force multi-level cascades
+      case 5: {  // deadlines from ties up to past 2^32 us
         sim.run_until(sim.now() + pick_delta());
         break;
       }
@@ -265,22 +265,47 @@ TEST(SimKernelDifferential, MultiLevelFireLogsMatchLegacyKernel) {
   }
 }
 
-TEST(SimKernelDifferential, OverflowHeapSplitIsVisible) {
-  // Pin the wheel/heap split: near events live in the wheel, events past the
-  // 2^32 us horizon go to the overflow heap, and both drain in exact order.
-  Simulator sim;
-  std::vector<FireRecord> log;
-  sim.schedule_at(100, [&] { log.push_back({0, sim.now()}); });
-  const SimTime far = (SimTime{1} << 32) + 5;
-  sim.schedule_at(far, [&] { log.push_back({1, sim.now()}); });
-  EXPECT_EQ(sim.heap_size(), 2u);
-  EXPECT_EQ(sim.overflow_size(), 1u);
-  sim.run();
-  ASSERT_EQ(log.size(), 2u);
-  EXPECT_EQ(log[0], (FireRecord{0, 100}));
-  EXPECT_EQ(log[1], (FireRecord{1, far}));
-  EXPECT_EQ(sim.heap_size(), 0u);
-  EXPECT_EQ(sim.overflow_size(), 0u);
+TEST(SimKernelDifferential, FarFutureAndRewoundClockMatchLegacyKernel) {
+  // Entries past 2^32 us, and schedules behind an already-fired time: the
+  // run_until quirk fires a live event past the deadline and then rewinds
+  // the clock to the deadline, so the next schedule lands before the last
+  // fire. Both kernels must agree on every fire and every clock reading.
+  const auto run_one = [](auto&& sim) {
+    std::vector<FireRecord> log;
+    const auto record = [&log, &sim](int label) {
+      return [&log, &sim, label] { log.push_back({label, sim.now()}); };
+    };
+    const SimTime far = (SimTime{1} << 32) + 5;
+    sim.schedule_at(far + 1000, record(0));
+    sim.schedule_at(100, record(1));
+    const EventId head = sim.schedule_at(10, record(2));
+    sim.schedule_at(far, record(3));
+    sim.cancel(head);
+    sim.run_until(50);  // fires label 1 at 100, then rewinds to 50
+    log.push_back({-1, sim.now()});
+    sim.schedule_at(60, record(4));  // behind the fire at 100
+    sim.schedule_at(60, record(5));  // same tick: schedule order
+    sim.schedule_at(SimTime{1} << 33, record(6));
+    const EventId far_head = sim.schedule_at(far - 1, record(7));
+    sim.run_until(100);
+    sim.cancel(far_head);
+    sim.run_until(far - 1);  // fires label 3 at far, then rewinds to far - 1
+    log.push_back({-1, sim.now()});
+    sim.schedule_at(far - 1, record(8));  // behind the fire at far
+    sim.schedule_in(0, record(9));
+    sim.run();
+    log.push_back({-1, sim.now()});
+    return log;
+  };
+  LegacySimulator legacy;
+  Simulator current;
+  const auto expected = run_one(legacy);
+  ASSERT_EQ(expected.size(), 11u);
+  EXPECT_EQ(expected[0], (FireRecord{1, 100}));
+  EXPECT_EQ(expected[1], (FireRecord{-1, 50}));
+  EXPECT_EQ(expected, run_one(current));
+  EXPECT_EQ(current.heap_size(), 0u);
+  EXPECT_EQ(current.pending_events(), 0u);
 }
 
 TEST(SimKernelDifferential, RunUntilQuirkMatchesLegacyKernel) {
