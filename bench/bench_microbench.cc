@@ -316,10 +316,12 @@ void BM_TcpBulkTransfer(benchmark::State& state) {
 BENCHMARK(BM_TcpBulkTransfer);
 
 void BM_TcpChunkedSegments(benchmark::State& state) {
-  // Many small application chunks per MSS: each TCP segment carries several
-  // chunk records (the RTP-over-TCP interleaving shape), exercising the
-  // per-packet chunk vector — inline up to 2 records after the SmallVec
-  // change — and sack bookkeeping under loss-free reordering.
+  // Many small application chunks per MSS: 250-byte chunks in 1000-byte
+  // segments, so each segment ends four chunk records (the RTP-over-TCP
+  // interleaving shape). That is past the inline capacity (2) of
+  // Packet::chunks, so this measures the SmallVec heap-spill path; the
+  // study's MSS-sized writes stay inline. SACK is off and the link neither
+  // drops nor reorders.
   struct Tag : net::PayloadMeta {};
   for (auto _ : state) {
     sim::Simulator sim;

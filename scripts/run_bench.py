@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Benchmark harness for the simulation fast path.
 
-Runs the Google-benchmark microbench binary several times, keeps the
-per-benchmark minimum (the least-noise estimator on shared/virtualised
-hardware), derives the headline metrics (ns/event, packets/sec), and
+Runs the Google-benchmark microbench binary once, with every benchmark
+repeated and the repetitions randomly interleaved, keeps the per-benchmark
+minimum (the least-noise estimator on shared/virtualised hardware),
+derives the headline metrics (ns/event, packets/sec), and
 optionally times a full `realdata summary` study run at a fixed seed,
 fingerprinting the result cache so byte-identity across kernel changes is
 checked, not assumed.
@@ -130,33 +131,41 @@ METRIC_CALLS_PER_FORWARD_ITER_8 = 800
 
 
 def run_microbench(binary, repetitions, min_time, bench_filter=None):
-    """Runs the bench binary `repetitions` times; returns {name: min_ns}."""
+    """Runs the bench binary once; returns {name: min_ns}.
+
+    Every benchmark runs `repetitions` times with the repetitions of all
+    benchmarks in random interleaved order, so the calibration benchmark and
+    the tracked ones sample the same phases of a noisy shared host; the
+    per-benchmark minimum over the repetitions is kept.
+    """
+    with tempfile.NamedTemporaryFile(mode="r", suffix=".json") as out:
+        cmd = [
+            binary,
+            "--benchmark_format=console",
+            "--benchmark_out_format=json",
+            "--benchmark_out=%s" % out.name,
+            "--benchmark_min_time=%g" % min_time,
+            "--benchmark_repetitions=%d" % max(1, repetitions),
+            "--benchmark_enable_random_interleaving=true",
+        ]
+        if bench_filter:
+            cmd.append("--benchmark_filter=%s" % bench_filter)
+        subprocess.run(
+            cmd, check=True, stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL)
+        data = json.load(open(out.name))
     best = {}
-    for rep in range(repetitions):
-        with tempfile.NamedTemporaryFile(mode="r", suffix=".json") as out:
-            cmd = [
-                binary,
-                "--benchmark_format=console",
-                "--benchmark_out_format=json",
-                "--benchmark_out=%s" % out.name,
-                "--benchmark_min_time=%g" % min_time,
-            ]
-            if bench_filter:
-                cmd.append("--benchmark_filter=%s" % bench_filter)
-            subprocess.run(
-                cmd, check=True, stdout=subprocess.DEVNULL,
-                stderr=subprocess.DEVNULL)
-            data = json.load(open(out.name))
-        for b in data.get("benchmarks", []):
-            name = b["name"]
-            # JSON reports real_time in the benchmark's display unit.
-            unit = b.get("time_unit", "ns")
-            to_ns = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
-            assert unit in to_ns, "%s: unknown time unit %r" % (name, unit)
-            ns = float(b["real_time"]) * to_ns[unit]
-            if name not in best or ns < best[name]:
-                best[name] = ns
-        print("  rep %d/%d done" % (rep + 1, repetitions), file=sys.stderr)
+    for b in data.get("benchmarks", []):
+        if b.get("run_type") == "aggregate":
+            continue  # mean/median/stddev rows; the minimum is taken here
+        name = b["name"]
+        # JSON reports real_time in the benchmark's display unit.
+        unit = b.get("time_unit", "ns")
+        to_ns = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+        assert unit in to_ns, "%s: unknown time unit %r" % (name, unit)
+        ns = float(b["real_time"]) * to_ns[unit]
+        if name not in best or ns < best[name]:
+            best[name] = ns
     return best
 
 
@@ -226,7 +235,8 @@ def main():
     ap.add_argument("--baseline", default=DEFAULT_JSON,
                     help="path to BENCH_sim.json")
     ap.add_argument("--repetitions", type=int, default=5,
-                    help="external repetitions; per-benchmark minimum is kept")
+                    help="repetitions per benchmark, randomly interleaved "
+                         "in one run; the per-benchmark minimum is kept")
     ap.add_argument("--min-time", type=float, default=0.25,
                     help="--benchmark_min_time per repetition (seconds)")
     ap.add_argument("--tolerance", type=float, default=0.20,
@@ -434,7 +444,7 @@ def main():
         sys.exit("bench binary not found: %s (build Release first)" %
                  args.bench_binary)
 
-    print("running %s x%d (min_time=%gs each)..." %
+    print("running %s (%d interleaved repetitions, min_time=%gs each)..." %
           (args.bench_binary, args.repetitions, args.min_time),
           file=sys.stderr)
     results = run_microbench(args.bench_binary, args.repetitions,
@@ -525,7 +535,7 @@ def main():
             # Peak RSS does not scale with CPU speed, so it is compared
             # without the calibration rescale, under its own (looser)
             # tolerance: a memory regression on a study run means the
-            # streaming/arena discipline broke somewhere.
+            # streaming discipline broke somewhere.
             want_rss = committed_study.get("peak_rss_kb")
             if want_rss and study["peak_rss_kb"] > 0:
                 allowed_rss = want_rss * (1.0 + args.rss_tolerance)

@@ -4,7 +4,6 @@
 
 #include "obs/trace.h"
 #include "server/real_server.h"
-#include "util/arena.h"
 #include "util/check.h"
 #include "util/logging.h"
 #include "util/strings.h"
@@ -191,7 +190,7 @@ void RealPlayerApp::fetch_metafile() {
     req.headers.set("User-Agent", "RealTracer/1.0");
     const std::string wire = req.serialize();
     http_conn_->send_chunk(static_cast<std::int64_t>(wire.size()),
-                           util::arena_make_shared<media::RtspTextMeta>(wire));
+                           std::make_shared<media::RtspTextMeta>(wire));
   });
   http_conn_->set_on_chunk(
       [this](std::shared_ptr<const net::PayloadMeta> meta, std::int64_t) {
@@ -274,7 +273,7 @@ void RealPlayerApp::send_request(rtsp::Method method) {
   // fails the attempt instead of hanging until the watchdog.
   if (method != rtsp::Method::kTeardown) arm_request_timer();
   control_->send_chunk(static_cast<std::int64_t>(wire.size()),
-                       util::arena_make_shared<media::RtspTextMeta>(wire));
+                       std::make_shared<media::RtspTextMeta>(wire));
 }
 
 void RealPlayerApp::on_control_chunk(
@@ -467,7 +466,7 @@ void RealPlayerApp::send_feedback() {
   if (server_data_.port != 0 && !config_.udp_blocked) {
     const auto interval_sec = to_seconds(config_.feedback_interval);
     const auto report = loss_monitor_.take();
-    auto fb = util::arena_make_shared<media::FeedbackMeta>();
+    auto fb = std::make_shared<media::FeedbackMeta>();
     fb->loss_fraction = report.loss_fraction();
     // Goodput over the interval: count payload bytes via packets seen.
     fb->receive_rate =
@@ -480,7 +479,7 @@ void RealPlayerApp::send_feedback() {
     data_socket_->send_to(server_data_, media::kFeedbackPayloadBytes, fb);
 
     if (!missing_seqs_.empty()) {
-      auto nak = util::arena_make_shared<media::RepairRequestMeta>();
+      auto nak = std::make_shared<media::RepairRequestMeta>();
       nak->seqs.assign(missing_seqs_.begin(), missing_seqs_.end());
       missing_seqs_.clear();
       const auto bytes = static_cast<std::int32_t>(

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "util/arena.h"
 #include "util/check.h"
 
 namespace rv::media {
@@ -18,7 +17,7 @@ std::vector<std::shared_ptr<MediaPacketMeta>> packetize_frame(
   out.reserve(static_cast<std::size_t>(frag_count));
   std::int32_t remaining = frame.bytes;
   for (std::int32_t i = 0; i < frag_count; ++i) {
-    auto meta = util::arena_make_shared<MediaPacketMeta>();
+    auto meta = std::make_shared<MediaPacketMeta>();
     meta->clip_id = clip_id;
     meta->level = level;
     meta->kind = MediaKind::kVideo;

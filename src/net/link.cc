@@ -22,7 +22,7 @@ LinkDirection::LinkDirection(sim::Simulator& sim, BitsPerSec rate,
   }
 }
 
-void LinkDirection::send(PooledPacket packet) {
+void LinkDirection::send(std::unique_ptr<Packet> packet) {
   if (!admit(*packet)) return;
   const std::int32_t bytes = packet->size_bytes;
   enqueue({std::move(packet), bytes});
@@ -30,7 +30,7 @@ void LinkDirection::send(PooledPacket packet) {
 
 void LinkDirection::send_background(const Packet& shape) {
   if (!admit(shape)) return;
-  enqueue({PooledPacket(), shape.size_bytes});
+  enqueue({nullptr, shape.size_bytes});
 }
 
 bool LinkDirection::admit(const Packet& packet) {
@@ -75,8 +75,8 @@ void LinkDirection::start_transmission(Entry entry) {
   const SimTime extra =
       jitter_ ? std::max<SimTime>(0, jitter_(sim_.now())) : 0;
   // Delivery happens tx + propagation later; the transmitter frees after tx.
-  // The pool handle moves into the event's inline storage — no allocation,
-  // no packet copy.
+  // The packet's owning pointer moves into the event's inline storage — no
+  // allocation, no packet copy.
   if (entry.packet) {
     sim_.schedule_in(tx + prop_delay_ + extra,
                      [this, p = std::move(entry.packet)]() mutable {

@@ -14,7 +14,6 @@
 #include <string>
 
 #include "net/packet.h"
-#include "net/packet_pool.h"
 #include "net/queue_policy.h"
 #include "sim/simulator.h"
 #include "util/units.h"
@@ -48,20 +47,20 @@ class LinkDirection {
   LinkDirection(sim::Simulator& sim, BitsPerSec rate, SimTime prop_delay,
                 const QueueConfig& queue);
 
-  // Accepts a packet for transmission; drops it if the queue is full.
-  // Pool-slot handles move through queueing and delivery without copying.
-  void send(PooledPacket packet);
+  // Accepts a packet for transmission; drops it if the queue is full. The
+  // packet moves through queueing and delivery without copying.
+  void send(std::unique_ptr<Packet> packet);
 
   // Background load shaped like `shape`: admitted exactly as send() would
   // admit that packet (same counters, fault filter, RED and drop-tail
   // checks, same delay-jitter draw), then it takes queue bytes and
   // transmitter time but is never delivered. Cross traffic's only effect on
-  // the foreground is this occupancy, so it skips the packet pool and the
-  // delivery event.
+  // the foreground is this occupancy, so it allocates no packet and
+  // schedules no delivery event.
   void send_background(const Packet& shape);
 
   // Called with each packet after serialisation + propagation.
-  void set_deliver(std::function<void(PooledPacket)> deliver) {
+  void set_deliver(std::function<void(std::unique_ptr<Packet>)> deliver) {
     deliver_ = std::move(deliver);
   }
 
@@ -82,7 +81,7 @@ class LinkDirection {
  private:
   // A queued transmission; a null `packet` is background load.
   struct Entry {
-    PooledPacket packet;
+    std::unique_ptr<Packet> packet;
     std::int32_t bytes = 0;
   };
 
@@ -101,7 +100,7 @@ class LinkDirection {
   std::deque<Entry> queue_;
   std::int64_t queued_bytes_ = 0;
   bool busy_ = false;
-  std::function<void(PooledPacket)> deliver_;
+  std::function<void(std::unique_ptr<Packet>)> deliver_;
   FaultFilter fault_;
   DelayJitter jitter_;
   LinkStats stats_;

@@ -46,14 +46,18 @@ Link& Network::add_link(NodeId a, NodeId b, BitsPerSec rate,
   Link& link = *links_.back();
   // Arriving packets are handled by the receiving node (after the optional
   // observation tap sees them).
-  const auto deliver_at = [this](NodeId id, PooledPacket p) {
+  const auto deliver_at = [this](NodeId id, std::unique_ptr<Packet> p) {
     if (tap_) tap_(*p, id, sim_.now());
     nodes_[id]->handle(std::move(p));
   };
   link.direction_from(a).set_deliver(
-      [deliver_at, id = b](PooledPacket p) { deliver_at(id, std::move(p)); });
+      [deliver_at, id = b](std::unique_ptr<Packet> p) {
+        deliver_at(id, std::move(p));
+      });
   link.direction_from(b).set_deliver(
-      [deliver_at, id = a](PooledPacket p) { deliver_at(id, std::move(p)); });
+      [deliver_at, id = a](std::unique_ptr<Packet> p) {
+        deliver_at(id, std::move(p));
+      });
   routes_ready_ = false;
   return link;
 }
@@ -130,7 +134,7 @@ void Network::send(Packet packet) {
   RV_CHECK_LT(packet.src, nodes_.size());
   RV_CHECK_LT(packet.dst, nodes_.size());
   const NodeId src = packet.src;
-  nodes_[src]->handle(pool_.acquire(std::move(packet)));
+  nodes_[src]->handle(std::make_unique<Packet>(std::move(packet)));
 }
 
 }  // namespace rv::net

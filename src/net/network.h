@@ -8,7 +8,6 @@
 #include "net/link.h"
 #include "net/node.h"
 #include "net/packet.h"
-#include "net/packet_pool.h"
 #include "sim/simulator.h"
 
 namespace rv::net {
@@ -43,20 +42,16 @@ class Network {
   void compute_routes();
 
   // Tears the topology down (nodes, links, tap, routes) for rebuilding in
-  // place while keeping the packet pool's slot storage warm. Packets still
-  // queued on links are released back to the pool as the links are
-  // destroyed. Reset the owning Simulator first: pending delivery events
-  // hold pool handles, and destroying them while the pool core is alive
-  // returns those slots for the next topology to reuse.
+  // place; packets still queued on links are destroyed with them. Reset the
+  // owning Simulator first: pending delivery events point at the old links.
   void reset();
 
   // Injects a packet at its source node (local stack "transmit"). The
-  // packet moves into a recycled pool slot and travels the forwarding path
-  // (queues, delivery events) without further copies.
+  // packet moves onto the heap once and travels the forwarding path
+  // (queues, delivery events) by its owning pointer, without further
+  // copies. Undelivered packets are owned by their pending events, so they
+  // may outlive the Network.
   void send(Packet packet);
-
-  // Forwarding-path slot recycler; exposed for pool-behaviour tests.
-  const PacketPool& packet_pool() const { return pool_; }
 
   // Observation tap (mmdump-style [MCCS00]): called for every packet as it
   // is delivered off a link, with the receiving node. Passive — the packet
@@ -69,7 +64,6 @@ class Network {
 
  private:
   sim::Simulator& sim_;
-  PacketPool pool_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<std::unique_ptr<Link>> links_;
   DeliveryTap tap_;

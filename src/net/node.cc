@@ -16,11 +16,9 @@ LinkDirection* Node::route_to(NodeId dst) const {
   return it == routes_.end() ? nullptr : it->second;
 }
 
-void Node::handle(PooledPacket packet) {
+void Node::handle(std::unique_ptr<Packet> packet) {
   if (packet->dst == id_) {
     if (local_sink_) {
-      // The payload moves out of the slot; the slot itself returns to the
-      // pool when `packet` goes out of scope.
       local_sink_(std::move(*packet));
     } else {
       // Packets for a node with no transport bound land here by design.

@@ -7,12 +7,12 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <unordered_map>
 
 #include "net/link.h"
 #include "net/packet.h"
-#include "net/packet_pool.h"
 
 namespace rv::net {
 
@@ -33,9 +33,8 @@ class Node {
   }
 
   // Entry point for packets arriving at (or originated by) this node. The
-  // pool slot is forwarded onward, or released after the payload moves into
-  // the local sink.
-  void handle(PooledPacket packet);
+  // packet is forwarded onward, or moved into the local sink.
+  void handle(std::unique_ptr<Packet> packet);
 
   std::uint64_t no_route_drops() const { return no_route_drops_; }
   std::uint64_t sink_drops() const { return sink_drops_; }

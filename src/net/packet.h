@@ -4,7 +4,9 @@
 // shared_ptr to immutable metadata rather than as bytes — this is a
 // simulator, so only sizes travel the wire, not content). The short header
 // lists (SACK blocks, chunk records) use inline SmallVec storage, so a
-// typical packet owns no heap memory and moves by plain member copy.
+// typical packet owns no heap memory beyond itself. Network::send moves each
+// packet into one heap allocation, and the forwarding path (link queue,
+// delivery event, receiving node) passes the std::unique_ptr<Packet> along.
 #pragma once
 
 #include <cstdint>

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -40,16 +41,50 @@ std::optional<std::string> raw_field(std::string_view json,
   while (start < json.size() && (json[start] == ' ')) ++start;
   if (start >= json.size()) return std::nullopt;
   if (json[start] == '"') {
-    // String value: scan to the closing unescaped quote.
+    // String value: scan to the closing unescaped quote, undoing
+    // util::json_escape. JSON forbids raw control characters in strings,
+    // and json_escape writes \u escapes only for ASCII control characters,
+    // so anything else is a corrupted document.
     std::string out;
     for (std::size_t i = start + 1; i < json.size(); ++i) {
-      if (json[i] == '\\' && i + 1 < json.size()) {
-        ++i;
-        out += json[i];
-      } else if (json[i] == '"') {
-        return out;
-      } else {
-        out += json[i];
+      const char c = json[i];
+      if (c == '"') return out;
+      if (static_cast<unsigned char>(c) < 0x20) return std::nullopt;
+      if (c != '\\') {
+        out += c;
+        continue;
+      }
+      if (++i >= json.size()) break;
+      switch (json[i]) {
+        case '"':
+        case '\\':
+        case '/':
+          out += json[i];
+          break;
+        case 'n':
+          out += '\n';
+          break;
+        case 'r':
+          out += '\r';
+          break;
+        case 't':
+          out += '\t';
+          break;
+        case 'u': {
+          unsigned code = 0;
+          const char* first = json.data() + i + 1;
+          const char* last =
+              first + std::min<std::size_t>(4, json.size() - i - 1);
+          const auto [ptr, ec] = std::from_chars(first, last, code, 16);
+          if (ec != std::errc() || ptr != first + 4 || code >= 0x80) {
+            return std::nullopt;
+          }
+          out += static_cast<char>(code);
+          i += 4;
+          break;
+        }
+        default:
+          return std::nullopt;
       }
     }
     return std::nullopt;  // unterminated string: torn/truncated document

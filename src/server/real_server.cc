@@ -5,7 +5,6 @@
 
 #include "rtsp/http.h"
 
-#include "util/arena.h"
 #include "util/check.h"
 #include "util/logging.h"
 #include "util/strings.h"
@@ -166,7 +165,7 @@ void RealServerApp::on_http_chunk(
   }
   const std::string wire = resp.serialize();
   conn.send_chunk(static_cast<std::int64_t>(wire.size()),
-                  util::arena_make_shared<media::RtspTextMeta>(wire));
+                  std::make_shared<media::RtspTextMeta>(wire));
   conn.close();  // HTTP/1.0: one request per connection
 }
 
@@ -339,7 +338,7 @@ void RealServerApp::send_response(SessionCtx& ctx,
   const std::string wire = resp.serialize();
   ctx.control->send_chunk(
       static_cast<std::int64_t>(wire.size()),
-      util::arena_make_shared<media::RtspTextMeta>(wire));
+      std::make_shared<media::RtspTextMeta>(wire));
 }
 
 rtsp::Response RealServerApp::handle_request(SessionCtx& ctx,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "util/arena.h"
 #include "util/check.h"
 
 namespace rv::server {
@@ -25,8 +24,9 @@ StreamSender::StreamSender(sim::Simulator& sim, const media::Clip& clip,
       config_(config),
       rng_(std::move(rng)),
       level_(std::min(initial_level, clip.levels().size() - 1)),
-      schedule_(media::FrameSchedule::generate(clip, level_)) {
+      schedules_(clip.levels().size()) {
   RV_CHECK_GT(config_.max_payload, 0);
+  schedules_[level_] = media::FrameSchedule::generate(clip_, level_);
 }
 
 void StreamSender::start() {
@@ -86,9 +86,9 @@ void StreamSender::pump() {
   // The live edge: media that exists yet (plus a small encoder delay).
   const SimTime live_edge = now - start_wall_ - msec(200);
 
-  while (next_frame_ < schedule_.size()) {
+  while (next_frame_ < schedule().size()) {
     if (channel_.backlog_bytes() > backlog_cap) break;
-    const media::VideoFrame& frame = schedule_.frame(next_frame_);
+    const media::VideoFrame& frame = schedule().frame(next_frame_);
     if (config_.live && frame.pts > live_edge) break;
     if (static_cast<double>(frame.bytes) > send_credit_bytes_) break;
     send_audio_up_to(frame.pts);
@@ -102,14 +102,14 @@ void StreamSender::pump() {
     ++next_frame_;
   }
 
-  if (next_frame_ >= schedule_.size()) {
+  if (next_frame_ >= schedule().size()) {
     send_audio_up_to(clip_.duration());
     send_end_of_stream();
     return;
   }
 
   // Sleep until there is credit for the next frame (or a backlog re-check).
-  const auto& frame = schedule_.frame(next_frame_);
+  const auto& frame = schedule().frame(next_frame_);
   const double deficit =
       static_cast<double>(frame.bytes) - send_credit_bytes_;
   SimTime delay = msec(20);
@@ -143,7 +143,7 @@ void StreamSender::send_frame_packets(const media::VideoFrame& frame) {
 void StreamSender::send_audio_up_to(SimTime media_pos) {
   const auto& level = clip_.level(level_);
   while (audio_pos_ < media_pos) {
-    auto meta = util::arena_make_shared<media::MediaPacketMeta>();
+    auto meta = std::make_shared<media::MediaPacketMeta>();
     meta->clip_id = clip_.id();
     meta->level = static_cast<std::uint16_t>(level_);
     meta->kind = media::MediaKind::kAudio;
@@ -169,7 +169,7 @@ void StreamSender::send_end_of_stream() {
   // Over UDP the EOS may be lost; send a small burst.
   const int copies = channel_.reliable() ? 1 : 3;
   for (int i = 0; i < copies; ++i) {
-    auto meta = util::arena_make_shared<media::MediaPacketMeta>();
+    auto meta = std::make_shared<media::MediaPacketMeta>();
     meta->clip_id = clip_.id();
     meta->kind = media::MediaKind::kEndOfStream;
     meta->pts = clip_.duration();
@@ -231,7 +231,7 @@ void StreamSender::on_repair_request(const media::RepairRequestMeta& request) {
   for (const std::uint32_t seq : request.seqs) {
     const auto it = repair_ring_.find(seq);
     if (it == repair_ring_.end()) continue;
-    auto repair = util::arena_make_shared<media::MediaPacketMeta>(*it->second);
+    auto repair = std::make_shared<media::MediaPacketMeta>(*it->second);
     repair->kind = media::MediaKind::kRepair;
     repair->sent_at = sim_.now();
     channel_.send_media(repair, repair->payload_bytes);
@@ -269,8 +269,10 @@ void StreamSender::switch_level(std::size_t new_level) {
   level_ = new_level;
   ++level_switches_;
   // Continue in the new level's schedule from the current media position.
-  schedule_ = media::FrameSchedule::generate(clip_, level_);
-  next_frame_ = schedule_.first_frame_at(media_pos_ + 1);
+  if (!schedules_[level_]) {
+    schedules_[level_] = media::FrameSchedule::generate(clip_, level_);
+  }
+  next_frame_ = schedule().first_frame_at(media_pos_ + 1);
 }
 
 }  // namespace rv::server

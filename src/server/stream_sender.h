@@ -15,6 +15,8 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
+#include <vector>
 
 #include "media/clip.h"
 #include "media/frame_schedule.h"
@@ -97,6 +99,8 @@ class StreamSender {
   void switch_level(std::size_t new_level);
   BitsPerSec current_send_rate() const;
   bool should_thin(const media::VideoFrame& frame);
+  // The active level's frame schedule.
+  const media::FrameSchedule& schedule() const { return *schedules_[level_]; }
 
   sim::Simulator& sim_;
   const media::Clip& clip_;
@@ -106,7 +110,9 @@ class StreamSender {
   util::Rng rng_;
 
   std::size_t level_;
-  media::FrameSchedule schedule_;
+  // One schedule per level, generated on the level's first use: a schedule
+  // depends only on (clip, level), so switching back reuses it.
+  std::vector<std::optional<media::FrameSchedule>> schedules_;
   std::size_t next_frame_ = 0;
   SimTime media_pos_ = 0;        // media time up to which we have sent
   SimTime audio_pos_ = 0;        // audio sent up to this media time

@@ -4,9 +4,9 @@
 // captures (a `this` pointer plus a few ids fits comfortably), so scheduling
 // an event does not heap-allocate. Closures larger than the inline buffer
 // fall back to a single heap allocation, and — unlike `std::function` —
-// move-only captures (e.g. a pooled packet handle) are supported, which is
-// what lets the packet pipeline move packets into delivery events instead of
-// copying them.
+// move-only captures (e.g. a std::unique_ptr<Packet>) are supported, which
+// is what lets the packet pipeline move packets into delivery events instead
+// of copying them.
 #pragma once
 
 #include <cstddef>

@@ -110,9 +110,8 @@ TraceRecord RealTracer::run_session(
   const auto& site = world::server_sites().at(rec.site);
   util::Rng rng(play_seed);
 
-  // Clear the previous play out of the context *before* the path rebuild:
-  // destroying the old pending events returns their pooled packets while the
-  // old network (and pool core) is still alive. After reset the simulator is
+  // Clear the previous play's pending events out of the context *before*
+  // the path rebuild schedules this play's. After reset the simulator is
   // observationally a fresh one, so reuse cannot perturb results.
   sim::Simulator& sim = ctx.sim;
   sim.reset();
@@ -122,16 +121,6 @@ TraceRecord RealTracer::run_session(
   builder.build_into(ctx.path, sim, user, access, site, rng);
   world::PlayPath& path = ctx.path;
   path.start_cross_traffic();
-
-  // Every metadata block from the previous play died in the resets above
-  // (pending events with sim.reset(), queued packets with the network
-  // rebuild), so the arena can rewind. The scope routes this play's
-  // arena_make_shared calls — packetizer, sender, player, RTSP wire metas —
-  // into ctx's slabs. Declared before server/player so their destructors
-  // (which release the last meta references) run inside the scope; release
-  // is a no-op either way, the ordering just keeps the contract obvious.
-  ctx.arena.reset();
-  util::ArenaScope arena_scope(&ctx.arena);
 
   server::RealServerConfig server_cfg;
   server_cfg.udp_control = config_.udp_control;

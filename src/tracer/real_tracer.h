@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "faults/config.h"
-#include "util/arena.h"
 #include "faults/injector.h"
 #include "faults/schedule.h"
 #include "media/catalog.h"
@@ -57,18 +56,17 @@ struct TracerConfig {
 };
 
 // Reusable per-worker execution state. The Simulator and the path scratch
-// outlive individual plays: event-slot chunks, the heap buffer, the packet
-// pool's slot storage, the cross-traffic vector capacity and the metadata
-// arena's slabs are all retained across sessions, so steady-state plays
-// allocate ~nothing. One context per worker thread; contexts must never be
-// shared concurrently. Line-aligned so that the contexts the engine
-// allocates up front, one per worker, never share a cache line.
+// outlive individual plays: event-slot chunks, the heap buffer and the
+// cross-traffic vector capacity are retained across sessions, so a play
+// reuses the buffers its predecessors grew. One context per worker thread;
+// contexts must never be shared concurrently. Line-aligned so that the
+// contexts the engine allocates up front, one per worker, never share a
+// cache line.
 struct alignas(64) PlayContext {
   sim::Simulator sim;
   world::PlayPath path;  // path.network, when reused, schedules into `sim`
   obs::PlaySink sink;    // reused ring + counters for observed plays
   telemetry::Series series;  // reused sample columns for telemetry plays
-  util::Arena arena;  // per-play packet-metadata slabs, rewound each play
 
   PlayContext() = default;
   PlayContext(const PlayContext&) = delete;

@@ -56,8 +56,8 @@ TEST(Determinism, ThreadCountInvariantWithoutFaults) {
 
 TEST(Determinism, RepeatedRunsAreByteIdentical) {
   // Kernel-rewrite guard: the pooled-slot/4-ary-heap scheduler and the
-  // packet pool recycle ids and memory across plays, none of which may leak
-  // into results. Two fresh runs at one seed must serialize to identical
+  // reused per-worker contexts recycle ids and memory across plays, none of
+  // which may leak into results. Two fresh runs at one seed must serialize to identical
   // bytes — the same comparison (via the study cache file) that pinned the
   // rewritten kernel to the original's output, kept here as a regression
   // test against future ordering or state-reuse bugs.

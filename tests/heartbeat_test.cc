@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "mutation.h"
 #include "obs/heartbeat.h"
 
 namespace rv::obs {
@@ -86,6 +87,34 @@ TEST(Heartbeat, ParseRejectsIncompleteDocuments) {
   EXPECT_TRUE(parse_heartbeat(full, &out));
   EXPECT_FALSE(parse_heartbeat("{}", &out));
   EXPECT_FALSE(parse_heartbeat("{\"schema\":\"other-v9\"}", &out));
+}
+
+bool same_heartbeat(const Heartbeat& a, const Heartbeat& b) {
+  return a.shard_index == b.shard_index && a.shard_count == b.shard_count &&
+         a.pid == b.pid && a.timestamp_unix == b.timestamp_unix &&
+         a.status == b.status && a.users_done == b.users_done &&
+         a.users_total == b.users_total && a.plays == b.plays &&
+         a.last_fold_user == b.last_fold_user &&
+         a.plays_per_sec == b.plays_per_sec && a.rss_kb == b.rss_kb &&
+         a.seed == b.seed;
+}
+
+TEST(HeartbeatMutation, RejectsOrRoundTrips) {
+  // A heartbeat file is read back from disk by `rvmerge --status`: every
+  // corrupted document must be rejected, or parse to a heartbeat whose
+  // re-encoding parses back to the same heartbeat and is a fixed point.
+  mutation::run_mutants(
+      heartbeat_json(sample_heartbeat()), 3000, 401,
+      [](const std::string& mutant) {
+        Heartbeat parsed;
+        if (!parse_heartbeat(mutant, &parsed)) return false;
+        const std::string encoded = heartbeat_json(parsed);
+        Heartbeat back;
+        EXPECT_TRUE(parse_heartbeat(encoded, &back)) << encoded;
+        EXPECT_TRUE(same_heartbeat(parsed, back)) << encoded;
+        EXPECT_EQ(heartbeat_json(back), encoded);
+        return true;
+      });
 }
 
 TEST(Heartbeat, WriteIsAtomicRename) {

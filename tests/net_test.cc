@@ -510,49 +510,11 @@ TEST(CrossTraffic, BackgroundLoadMatchesDeliveredPackets) {
   }
 }
 
-TEST(PacketPool, SteadyStateForwardingRecyclesSlots) {
-  // With one packet in flight at a time, the pool never grows past one slot
-  // no matter how many packets traverse the network.
-  sim::Simulator sim;
-  Network net(sim);
-  const NodeId a = net.add_node("a");
-  const NodeId b = net.add_node("b");
-  net.add_link(a, b, mbps(10), msec(1), 1 << 20);
-  net.compute_routes();
-  int delivered = 0;
-  net.node(b).set_local_sink([&](Packet) { ++delivered; });
-  for (int i = 0; i < 100; ++i) {
-    net.send(make_packet(a, b, 1000));
-    sim.run();
-  }
-  EXPECT_EQ(delivered, 100);
-  EXPECT_EQ(net.packet_pool().allocated(), 1u);
-  EXPECT_EQ(net.packet_pool().available(), 1u);
-}
-
-TEST(PacketPool, GrowthBoundedByPeakInFlight) {
-  sim::Simulator sim;
-  Network net(sim);
-  const NodeId a = net.add_node("a");
-  const NodeId b = net.add_node("b");
-  net.add_link(a, b, mbps(1), msec(1), 1 << 20);
-  net.compute_routes();
-  net.node(b).set_local_sink([](Packet) {});
-  // Burst of 50 concurrently in-flight packets, twice: the second burst
-  // reuses the first burst's slots.
-  for (int burst = 0; burst < 2; ++burst) {
-    for (int i = 0; i < 50; ++i) net.send(make_packet(a, b, 1000));
-    sim.run();
-  }
-  EXPECT_EQ(net.packet_pool().allocated(), 50u);
-  EXPECT_EQ(net.packet_pool().available(), 50u);
-}
-
-TEST(PacketPool, OutstandingPacketsSurviveNetworkDestruction) {
+TEST(Network, OutstandingPacketsSurviveNetworkDestruction) {
   // Tests routinely declare `Simulator sim; Network net(sim);`, destroying
-  // the Network (and its pool) first while undelivered packets still sit in
-  // scheduled delivery events. The pool core is shared with outstanding
-  // handles, so those events destroy cleanly with the simulator.
+  // the Network first while undelivered packets still sit in scheduled
+  // delivery events. Each pending event owns its packet, so those events
+  // destroy cleanly with the simulator.
   sim::Simulator sim;
   {
     Network net(sim);

@@ -260,7 +260,7 @@ TEST(Simulator, RunUntilCancelledHeadAdmitsNextStep) {
 
 TEST(Simulator, MoveOnlyCapturesAreSupported) {
   // EventFn (unlike std::function) accepts move-only callables, which is
-  // what lets pooled packets travel inside delivery closures.
+  // what lets owned packets travel inside delivery closures.
   Simulator sim;
   auto payload = std::make_unique<int>(42);
   int seen = 0;

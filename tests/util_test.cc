@@ -9,7 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "util/arena.h"
 #include "util/bytes.h"
 #include "util/check.h"
 #include "util/rng.h"
@@ -186,89 +185,6 @@ TEST(Strings, StrCatAndFormat) {
 TEST(Strings, StableHashIsStable) {
   EXPECT_EQ(util::stable_hash("abc"), util::stable_hash("abc"));
   EXPECT_NE(util::stable_hash("abc"), util::stable_hash("abd"));
-}
-
-TEST(Arena, BumpsAlignsAndGrowsOnDemand) {
-  util::Arena arena;
-  EXPECT_EQ(arena.slab_count(), 0u);
-  // First allocation takes the grow path (regression: the empty arena's
-  // slab index must land on the slab it just created).
-  auto* a = static_cast<unsigned char*>(arena.allocate(24, 8));
-  ASSERT_NE(a, nullptr);
-  EXPECT_EQ(arena.slab_count(), 1u);
-  a[0] = 1;
-  a[23] = 2;
-  auto* b = arena.allocate(40, 16);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b) % 16, 0u);
-  EXPECT_NE(a, b);
-
-  // Fill past one slab: more slabs appear, every pointer stays writable.
-  std::vector<void*> blocks;
-  for (int i = 0; i < 100; ++i) blocks.push_back(arena.allocate(1024, 8));
-  EXPECT_GE(arena.slab_count(), 2u);
-  for (void* p : blocks) *static_cast<unsigned char*>(p) = 0xab;
-}
-
-TEST(Arena, OversizedAllocationGetsDedicatedSlab) {
-  util::Arena arena;
-  const std::size_t big = util::Arena::kChunkBytes * 3;
-  auto* p = static_cast<unsigned char*>(arena.allocate(big, 8));
-  ASSERT_NE(p, nullptr);
-  p[0] = 1;
-  p[big - 1] = 2;  // whole range writable
-  // A normal allocation afterwards still works.
-  EXPECT_NE(arena.allocate(64, 8), nullptr);
-}
-
-TEST(Arena, ResetRewindsAndReusesSlabs) {
-  util::Arena arena;
-  for (int i = 0; i < 200; ++i) arena.allocate(512, 8);
-  const std::size_t slabs = arena.slab_count();
-  EXPECT_GE(slabs, 2u);
-  // The same allocation pattern replayed after reset must fit in the
-  // retained slabs — steady state allocates nothing new.
-  for (int round = 0; round < 3; ++round) {
-    arena.reset();
-    void* first = arena.allocate(512, 8);
-    for (int i = 1; i < 200; ++i) arena.allocate(512, 8);
-    EXPECT_EQ(arena.slab_count(), slabs) << "round " << round;
-    // Rewind really rewinds: the first block lands at the same address.
-    arena.reset();
-    EXPECT_EQ(arena.allocate(512, 8), first);
-    for (int i = 1; i < 200; ++i) arena.allocate(512, 8);
-  }
-}
-
-TEST(ArenaScope, RoutesArenaMakeSharedAndRestoresOnExit) {
-  EXPECT_EQ(util::ArenaScope::current(), nullptr);
-  // No scope: plain heap shared_ptr, usable as ever.
-  auto heap_ptr = util::arena_make_shared<int>(7);
-  EXPECT_EQ(*heap_ptr, 7);
-
-  util::Arena arena;
-  std::shared_ptr<std::vector<int>> survivor;
-  {
-    util::ArenaScope scope(&arena);
-    EXPECT_EQ(util::ArenaScope::current(), &arena);
-    {
-      util::Arena nested;
-      util::ArenaScope inner(&nested);
-      EXPECT_EQ(util::ArenaScope::current(), &nested);
-      auto p = util::arena_make_shared<int>(1);
-      EXPECT_EQ(*p, 1);
-      EXPECT_GE(nested.slab_count(), 1u);
-    }
-    EXPECT_EQ(util::ArenaScope::current(), &arena);  // nesting restored
-
-    survivor = util::arena_make_shared<std::vector<int>>(100, 42);
-    EXPECT_GE(arena.slab_count(), 1u);
-  }
-  EXPECT_EQ(util::ArenaScope::current(), nullptr);
-  // The object outlives the scope (its memory lives until arena.reset());
-  // releasing the last reference is a no-op deallocate, not a heap free.
-  EXPECT_EQ(survivor->size(), 100u);
-  EXPECT_EQ(survivor->at(99), 42);
-  survivor.reset();
 }
 
 }  // namespace
