@@ -122,13 +122,6 @@ void Network::compute_routes() {
   routes_ready_ = true;
 }
 
-void Network::reset() {
-  links_.clear();
-  nodes_.clear();
-  tap_ = nullptr;
-  routes_ready_ = false;
-}
-
 void Network::send(Packet packet) {
   RV_CHECK(routes_ready_) << "compute_routes() before sending";
   RV_CHECK_LT(packet.src, nodes_.size());

@@ -41,11 +41,6 @@ class Network {
   // before traffic flows.
   void compute_routes();
 
-  // Tears the topology down (nodes, links, tap, routes) for rebuilding in
-  // place; packets still queued on links are destroyed with them. Reset the
-  // owning Simulator first: pending delivery events point at the old links.
-  void reset();
-
   // Injects a packet at its source node (local stack "transmit"). The
   // packet moves onto the heap once and travels the forwarding path
   // (queues, delivery events) by its owning pointer, without further

@@ -79,15 +79,9 @@ void append_counters(std::string& out, const PlayTrack& track,
   out += std::to_string(track.pid);
   out += ",\"tid\":";
   out += std::to_string(track.tid);
-  out += ",\"s\":\"t\",\"args\":{";
-  for (std::size_t i = 0; i < counters.v.size(); ++i) {
-    if (i != 0) out += ',';
-    out += '"';
-    out += counter_name(static_cast<Counter>(i));
-    out += "\":";
-    out += std::to_string(counters.v[i]);
-  }
-  out += "}}";
+  out += ",\"s\":\"t\",\"args\":";
+  append_counters_json(out, counters);
+  out += '}';
 }
 
 }  // namespace

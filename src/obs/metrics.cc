@@ -22,91 +22,6 @@ std::string prom_double(double v) {
 
 }  // namespace
 
-const char* metric_name(Metric m) {
-  switch (m) {
-    case Metric::kPlaysCompleted: return "rv_plays_completed_total";
-    case Metric::kUsersCompleted: return "rv_users_completed_total";
-    case Metric::kChunksCompleted: return "rv_chunks_completed_total";
-    case Metric::kSpillBytesWritten: return "rv_spill_bytes_written_total";
-    case Metric::kSpillFramesWritten: return "rv_spill_frames_written_total";
-    case Metric::kCacheHits: return "rv_study_cache_hits_total";
-    case Metric::kCacheMisses: return "rv_study_cache_misses_total";
-    case Metric::kHeartbeatsWritten: return "rv_heartbeats_written_total";
-    case Metric::kHttpRequests: return "rv_status_http_requests_total";
-    case Metric::kCount: break;
-  }
-  return "rv_unknown_total";
-}
-
-const char* metric_help(Metric m) {
-  switch (m) {
-    case Metric::kPlaysCompleted:
-      return "Simulated plays finished and folded into the rollup";
-    case Metric::kUsersCompleted: return "Users fully executed";
-    case Metric::kChunksCompleted: return "Campaign chunks folded";
-    case Metric::kSpillBytesWritten:
-      return "Bytes appended to the columnar record spill";
-    case Metric::kSpillFramesWritten:
-      return "Spill frames (extents) flushed to disk";
-    case Metric::kCacheHits: return "Study cache hits";
-    case Metric::kCacheMisses: return "Study cache misses (study re-ran)";
-    case Metric::kHeartbeatsWritten:
-      return "Shard heartbeat files atomically renamed into place";
-    case Metric::kHttpRequests:
-      return "HTTP requests served by the embedded status exporter";
-    case Metric::kCount: break;
-  }
-  return "";
-}
-
-const char* gauge_name(MetricGauge g) {
-  switch (g) {
-    case MetricGauge::kUsersPlanned: return "rv_users_planned";
-    case MetricGauge::kShardIndex: return "rv_shard_index";
-    case MetricGauge::kShardCount: return "rv_shard_count";
-    case MetricGauge::kWorkers: return "rv_worker_threads";
-    case MetricGauge::kRssKb: return "rv_resident_memory_kilobytes";
-    case MetricGauge::kLastFoldUser: return "rv_last_fold_user";
-    case MetricGauge::kCount: break;
-  }
-  return "rv_unknown";
-}
-
-const char* gauge_help(MetricGauge g) {
-  switch (g) {
-    case MetricGauge::kUsersPlanned:
-      return "Users this process will execute (ETA denominator)";
-    case MetricGauge::kShardIndex: return "This process's shard index";
-    case MetricGauge::kShardCount: return "Total shards in the campaign";
-    case MetricGauge::kWorkers: return "Resolved worker-thread count";
-    case MetricGauge::kRssKb: return "Resident set size in KiB";
-    case MetricGauge::kLastFoldUser:
-      return "Absolute user id the fold position has reached";
-    case MetricGauge::kCount: break;
-  }
-  return "";
-}
-
-const char* hist_name(MetricHist h) {
-  switch (h) {
-    case MetricHist::kPlayFps: return "rv_play_fps";
-    case MetricHist::kPlayBandwidthKbps: return "rv_play_bandwidth_kbps";
-    case MetricHist::kCount: break;
-  }
-  return "rv_unknown_hist";
-}
-
-const char* hist_help(MetricHist h) {
-  switch (h) {
-    case MetricHist::kPlayFps:
-      return "Measured frame rate per analyzable play";
-    case MetricHist::kPlayBandwidthKbps:
-      return "Measured bandwidth per analyzable play (Kbps)";
-    case MetricHist::kCount: break;
-  }
-  return "";
-}
-
 std::string prom_escape_label(std::string_view s) {
   std::string out;
   out.reserve(s.size());
@@ -140,8 +55,7 @@ std::string prom_escape_help(std::string_view s) {
 }
 
 MetricsRegistry::MetricsRegistry()
-    : hists_{Hist(kMetricFpsLo, kMetricFpsHi, kMetricFpsBins),
-             Hist(kMetricBwLo, kMetricBwHi, kMetricBwBins)},
+    : hists_(make_hists(std::make_index_sequence<std::size(kHistInfo)>())),
       start_(std::chrono::steady_clock::now()) {}
 
 void MetricsRegistry::observe(MetricHist h, double value) {
@@ -191,29 +105,27 @@ std::string MetricsRegistry::encode_prometheus() const {
   }
 
   std::ostringstream os;
-  for (std::size_t i = 0; i < static_cast<std::size_t>(Metric::kCount); ++i) {
-    const auto m = static_cast<Metric>(i);
-    os << "# HELP " << metric_name(m) << ' '
-       << prom_escape_help(metric_help(m)) << "\n";
-    os << "# TYPE " << metric_name(m) << " counter\n";
-    os << metric_name(m) << label << ' ' << value(m) << "\n";
+  const auto family = [&os](const char* name, const char* help,
+                            const char* type) {
+    os << "# HELP " << name << ' ' << prom_escape_help(help) << "\n";
+    os << "# TYPE " << name << ' ' << type << "\n";
+  };
+  for (std::size_t i = 0; i < std::size(kMetricInfo); ++i) {
+    const MetricInfo& info = kMetricInfo[i];
+    family(info.name, info.help, "counter");
+    os << info.name << label << ' ' << value(static_cast<Metric>(i)) << "\n";
   }
-  for (std::size_t i = 0; i < static_cast<std::size_t>(MetricGauge::kCount);
-       ++i) {
-    const auto g = static_cast<MetricGauge>(i);
-    os << "# HELP " << gauge_name(g) << ' '
-       << prom_escape_help(gauge_help(g)) << "\n";
-    os << "# TYPE " << gauge_name(g) << " gauge\n";
-    os << gauge_name(g) << label << ' ' << gauge(g) << "\n";
+  for (std::size_t i = 0; i < std::size(kGaugeInfo); ++i) {
+    const MetricInfo& info = kGaugeInfo[i];
+    family(info.name, info.help, "gauge");
+    os << info.name << label << ' ' << gauge(static_cast<MetricGauge>(i))
+       << "\n";
   }
-  for (std::size_t i = 0; i < static_cast<std::size_t>(MetricHist::kCount);
-       ++i) {
-    const auto hid = static_cast<MetricHist>(i);
+  for (std::size_t i = 0; i < std::size(kHistInfo); ++i) {
+    const char* name = kHistInfo[i].name;
     const Hist& slot = hists_[i];
     std::lock_guard<std::mutex> lock(slot.mu);
-    os << "# HELP " << hist_name(hid) << ' '
-       << prom_escape_help(hist_help(hid)) << "\n";
-    os << "# TYPE " << hist_name(hid) << " histogram\n";
+    family(name, kHistInfo[i].help, "histogram");
     // Cumulative le-buckets over the sketch's fixed geometry. Values above
     // hi clamp into the last finite bucket by MergeableHistogram::add, so
     // the +Inf bucket always equals the total count.
@@ -224,15 +136,13 @@ std::string MetricsRegistry::encode_prometheus() const {
           slot.h.lo() +
           (slot.h.hi() - slot.h.lo()) *
               (static_cast<double>(b + 1) / static_cast<double>(slot.h.bins()));
-      os << hist_name(hid) << "_bucket" << label_open << "le=\""
-         << prom_double(le) << "\"} " << cumulative << "\n";
+      os << name << "_bucket" << label_open << "le=\"" << prom_double(le)
+         << "\"} " << cumulative << "\n";
     }
-    os << hist_name(hid) << "_bucket" << label_open << "le=\"+Inf\"} "
+    os << name << "_bucket" << label_open << "le=\"+Inf\"} "
        << slot.h.total() << "\n";
-    os << hist_name(hid) << "_sum" << label << ' ' << prom_double(slot.sum)
-       << "\n";
-    os << hist_name(hid) << "_count" << label << ' ' << slot.h.total()
-       << "\n";
+    os << name << "_sum" << label << ' ' << prom_double(slot.sum) << "\n";
+    os << name << "_count" << label << ' ' << slot.h.total() << "\n";
   }
   return os.str();
 }

@@ -26,10 +26,12 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <iterator>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "stats/histogram.h"
 
@@ -71,18 +73,58 @@ enum class MetricHist : std::uint16_t {
   kCount = 2,
 };
 
-constexpr double kMetricFpsLo = 0.0, kMetricFpsHi = 40.0;
-constexpr std::size_t kMetricFpsBins = 80;
-constexpr double kMetricBwLo = 0.0, kMetricBwHi = 2000.0;
-constexpr std::size_t kMetricBwBins = 200;
+// The /metrics vocabulary: one row per enum value, in enum order.
+// encode_prometheus prints each family's name and HELP text from these
+// tables, and the registry sizes each histogram from its row.
+struct MetricInfo {
+  const char* name;
+  const char* help;
+};
+inline constexpr MetricInfo kMetricInfo[] = {
+    {"rv_plays_completed_total",
+     "Simulated plays finished and folded into the rollup"},
+    {"rv_users_completed_total", "Users fully executed"},
+    {"rv_chunks_completed_total", "Campaign chunks folded"},
+    {"rv_spill_bytes_written_total",
+     "Bytes appended to the columnar record spill"},
+    {"rv_spill_frames_written_total", "Spill frames (extents) flushed to disk"},
+    {"rv_study_cache_hits_total", "Study cache hits"},
+    {"rv_study_cache_misses_total", "Study cache misses (study re-ran)"},
+    {"rv_heartbeats_written_total",
+     "Shard heartbeat files atomically renamed into place"},
+    {"rv_status_http_requests_total",
+     "HTTP requests served by the embedded status exporter"},
+};
+static_assert(std::size(kMetricInfo) ==
+              static_cast<std::size_t>(Metric::kCount));
 
-// Prometheus metric name / HELP text per slot.
-const char* metric_name(Metric m);
-const char* metric_help(Metric m);
-const char* gauge_name(MetricGauge g);
-const char* gauge_help(MetricGauge g);
-const char* hist_name(MetricHist h);
-const char* hist_help(MetricHist h);
+inline constexpr MetricInfo kGaugeInfo[] = {
+    {"rv_users_planned", "Users this process will execute (ETA denominator)"},
+    {"rv_shard_index", "This process's shard index"},
+    {"rv_shard_count", "Total shards in the campaign"},
+    {"rv_worker_threads", "Resolved worker-thread count"},
+    {"rv_resident_memory_kilobytes", "Resident set size in KiB"},
+    {"rv_last_fold_user", "Absolute user id the fold position has reached"},
+};
+static_assert(std::size(kGaugeInfo) ==
+              static_cast<std::size_t>(MetricGauge::kCount));
+
+// A histogram's fixed geometry (lo, hi, bins) is part of its row, so the
+// registry and every reader of its buckets agree on it.
+struct MetricHistInfo {
+  const char* name;
+  const char* help;
+  double lo;
+  double hi;
+  std::size_t bins;
+};
+inline constexpr MetricHistInfo kHistInfo[] = {
+    {"rv_play_fps", "Measured frame rate per analyzable play", 0.0, 40.0, 80},
+    {"rv_play_bandwidth_kbps", "Measured bandwidth per analyzable play (Kbps)",
+     0.0, 2000.0, 200},
+};
+static_assert(std::size(kHistInfo) ==
+              static_cast<std::size_t>(MetricHist::kCount));
 
 // Prometheus text-exposition escaping. Label values escape backslash,
 // double-quote and newline; HELP text escapes backslash and newline
@@ -138,8 +180,15 @@ class MetricsRegistry {
     mutable std::mutex mu;
     stats::MergeableHistogram h;
     double sum = 0.0;
-    Hist(double lo, double hi, std::size_t bins) : h(lo, hi, bins) {}
+    explicit Hist(const MetricHistInfo& info)
+        : h(info.lo, info.hi, info.bins) {}
   };
+  using Hists = std::array<Hist, static_cast<std::size_t>(MetricHist::kCount)>;
+  // One Hist per kHistInfo row, built in place (Hist holds a mutex).
+  template <std::size_t... I>
+  static Hists make_hists(std::index_sequence<I...>) {
+    return {Hist(kHistInfo[I])...};
+  }
 
   std::array<std::atomic<std::uint64_t>,
              static_cast<std::size_t>(Metric::kCount)>
@@ -147,7 +196,7 @@ class MetricsRegistry {
   std::array<std::atomic<std::int64_t>,
              static_cast<std::size_t>(MetricGauge::kCount)>
       gauges_{};
-  std::array<Hist, static_cast<std::size_t>(MetricHist::kCount)> hists_;
+  Hists hists_;
   mutable std::mutex label_mu_;
   std::string label_name_;
   std::string label_value_;

@@ -1,6 +1,6 @@
 #include "obs/trace.h"
 
-#include <iterator>
+#include <algorithm>
 
 #include "util/args.h"
 #include "util/strings.h"
@@ -10,106 +10,6 @@ namespace rv::obs {
 namespace detail {
 constinit thread_local PlaySink* tl_sink = nullptr;
 }  // namespace detail
-
-namespace {
-
-// One name per enum value, in declaration order. The static_asserts turn
-// "added an enum value but no name" into a compile error instead of a
-// silent "unknown" at runtime; obs_test additionally checks the names are
-// unique and non-empty.
-constexpr const char* kCodeNames[] = {
-    "preroll_done",        // kPrerollDone
-    "rebuffer",            // kRebufferStart
-    "rebuffer_end",        // kRebufferStop
-    "frame_drop",          // kFrameDrop
-    "tcp_state",           // kTcpState
-    "tcp_fast_retransmit", // kTcpFastRetransmit
-    "tcp_timeout",         // kTcpTimeout
-    "sack_retransmit",     // kSackRetransmit
-    "udp_loss_burst",      // kUdpLossBurst
-    "rtsp_retry",          // kRtspRetry
-    "rtsp_fallback",       // kRtspFallback
-    "fault_outage",        // kFaultOutage
-    "fault_overload",      // kFaultOverload
-    "fault_blackhole",     // kFaultBlackhole
-    "fault_corruption",    // kFaultCorruption
-    "cc_state",            // kCcState
-};
-static_assert(std::size(kCodeNames) ==
-                  static_cast<std::size_t>(Code::kCodeCount),
-              "kCodeNames must cover every Code enum value");
-
-constexpr const char* kCounterNames[] = {
-    "packets_enqueued",   // kPacketsEnqueued
-    "packets_dropped",    // kPacketsDropped
-    "packets_corrupted",  // kPacketsCorrupted
-    "tcp_retransmits",    // kTcpRetransmits
-    "sack_retransmits",   // kSackRetransmits
-    "rtsp_retries",       // kRtspRetries
-    "fallback_depth",     // kFallbackDepth
-    "rebuffers",          // kRebuffers
-    "frame_drops",        // kFrameDrops
-    "udp_loss_gaps",      // kUdpLossGaps
-    "sim_events",         // kSimEvents
-    "cc_recovery_enters", // kCcRecoveryEnters
-};
-static_assert(std::size(kCounterNames) ==
-                  static_cast<std::size_t>(Counter::kCount),
-              "kCounterNames must cover every Counter enum value");
-
-}  // namespace
-
-Cat cat_of(Code code) {
-  switch (code) {
-    case Code::kPrerollDone:
-    case Code::kRebufferStart:
-    case Code::kRebufferStop:
-    case Code::kFrameDrop:
-      return Cat::kClient;
-    case Code::kTcpState:
-    case Code::kTcpFastRetransmit:
-    case Code::kTcpTimeout:
-    case Code::kSackRetransmit:
-    case Code::kUdpLossBurst:
-    case Code::kCcState:
-      return Cat::kTransport;
-    case Code::kRtspRetry:
-    case Code::kRtspFallback:
-      return Cat::kRtsp;
-    case Code::kFaultOutage:
-    case Code::kFaultOverload:
-    case Code::kFaultBlackhole:
-    case Code::kFaultCorruption:
-      return Cat::kFault;
-    case Code::kCodeCount:
-      break;
-  }
-  return Cat::kClient;
-}
-
-const char* cat_name(Cat cat) {
-  switch (cat) {
-    case Cat::kClient:
-      return "client";
-    case Cat::kTransport:
-      return "transport";
-    case Cat::kRtsp:
-      return "rtsp";
-    case Cat::kFault:
-      return "fault";
-  }
-  return "unknown";
-}
-
-const char* code_name(Code code) {
-  const auto i = static_cast<std::size_t>(code);
-  return i < std::size(kCodeNames) ? kCodeNames[i] : "unknown";
-}
-
-const char* counter_name(Counter c) {
-  const auto i = static_cast<std::size_t>(c);
-  return i < std::size(kCounterNames) ? kCounterNames[i] : "unknown";
-}
 
 std::optional<std::pair<std::int32_t, std::int32_t>> parse_trace_play(
     std::string_view text) {
@@ -125,12 +25,21 @@ std::optional<std::pair<std::int32_t, std::int32_t>> parse_trace_play(
 
 void Counters::merge(const Counters& other) {
   for (std::size_t i = 0; i < v.size(); ++i) {
-    if (i == static_cast<std::size_t>(Counter::kFallbackDepth)) {
-      if (other.v[i] > v[i]) v[i] = other.v[i];
-    } else {
-      v[i] += other.v[i];
-    }
+    v[i] = kCounterInfo[i].kind == CounterKind::kMax
+               ? std::max(v[i], other.v[i])
+               : v[i] + other.v[i];
   }
+}
+
+void append_counters_json(std::string& out, const Counters& counters) {
+  out += '{';
+  for (std::size_t i = 0; i < counters.v.size(); ++i) {
+    if (i != 0) out += ',';
+    out += util::json_quote(kCounterInfo[i].name);
+    out += ':';
+    out += std::to_string(counters.v[i]);
+  }
+  out += '}';
 }
 
 void TraceBuffer::reset(std::uint32_t capacity) {

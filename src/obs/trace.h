@@ -19,7 +19,9 @@
 
 #include <array>
 #include <cstdint>
+#include <iterator>
 #include <optional>
+#include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -65,9 +67,48 @@ enum class Code : std::uint16_t {
   kCodeCount = 16,
 };
 
-Cat cat_of(Code code);
-const char* cat_name(Cat cat);
-const char* code_name(Code code);
+// The event vocabulary: one row per Code, in enum order. Its name is what
+// flight dumps and the Chrome trace print, and its category is what the
+// trace ring stores beside the code.
+struct CodeInfo {
+  const char* name;
+  Cat cat;
+};
+inline constexpr CodeInfo kCodeInfo[] = {
+    {"preroll_done", Cat::kClient},            // kPrerollDone
+    {"rebuffer", Cat::kClient},                // kRebufferStart
+    {"rebuffer_end", Cat::kClient},            // kRebufferStop
+    {"frame_drop", Cat::kClient},              // kFrameDrop
+    {"tcp_state", Cat::kTransport},            // kTcpState
+    {"tcp_fast_retransmit", Cat::kTransport},  // kTcpFastRetransmit
+    {"tcp_timeout", Cat::kTransport},          // kTcpTimeout
+    {"sack_retransmit", Cat::kTransport},      // kSackRetransmit
+    {"udp_loss_burst", Cat::kTransport},       // kUdpLossBurst
+    {"rtsp_retry", Cat::kRtsp},                // kRtspRetry
+    {"rtsp_fallback", Cat::kRtsp},             // kRtspFallback
+    {"fault_outage", Cat::kFault},             // kFaultOutage
+    {"fault_overload", Cat::kFault},           // kFaultOverload
+    {"fault_blackhole", Cat::kFault},          // kFaultBlackhole
+    {"fault_corruption", Cat::kFault},         // kFaultCorruption
+    {"cc_state", Cat::kTransport},             // kCcState
+};
+static_assert(std::size(kCodeInfo) ==
+                  static_cast<std::size_t>(Code::kCodeCount),
+              "kCodeInfo must cover every Code enum value");
+
+// Category names, indexed by Cat.
+inline constexpr const char* kCatNames[] = {"client", "transport", "rtsp",
+                                            "fault"};
+
+inline Cat cat_of(Code code) {
+  return kCodeInfo[static_cast<std::size_t>(code)].cat;
+}
+inline const char* code_name(Code code) {
+  return kCodeInfo[static_cast<std::size_t>(code)].name;
+}
+inline const char* cat_name(Cat cat) {
+  return kCatNames[static_cast<std::size_t>(cat)];
+}
 
 // One trace record: 32 POD bytes.
 struct TraceEvent {
@@ -98,7 +139,39 @@ enum class Counter : std::uint16_t {
   kCount = 12,
 };
 
-const char* counter_name(Counter c);
+// How study-level aggregation (Counters::merge) combines a counter.
+enum class CounterKind : std::uint8_t {
+  kSum,  // monotonic count: totals add
+  kMax,  // high-water gauge: totals keep the largest
+};
+
+// The counter vocabulary: one row per Counter, in enum order. Flight dumps,
+// the Chrome trace and realdata --trace print these names.
+struct CounterInfo {
+  const char* name;
+  CounterKind kind;
+};
+inline constexpr CounterInfo kCounterInfo[] = {
+    {"packets_enqueued", CounterKind::kSum},    // kPacketsEnqueued
+    {"packets_dropped", CounterKind::kSum},     // kPacketsDropped
+    {"packets_corrupted", CounterKind::kSum},   // kPacketsCorrupted
+    {"tcp_retransmits", CounterKind::kSum},     // kTcpRetransmits
+    {"sack_retransmits", CounterKind::kSum},    // kSackRetransmits
+    {"rtsp_retries", CounterKind::kSum},        // kRtspRetries
+    {"fallback_depth", CounterKind::kMax},      // kFallbackDepth
+    {"rebuffers", CounterKind::kSum},           // kRebuffers
+    {"frame_drops", CounterKind::kSum},         // kFrameDrops
+    {"udp_loss_gaps", CounterKind::kSum},       // kUdpLossGaps
+    {"sim_events", CounterKind::kSum},          // kSimEvents
+    {"cc_recovery_enters", CounterKind::kSum},  // kCcRecoveryEnters
+};
+static_assert(std::size(kCounterInfo) ==
+                  static_cast<std::size_t>(Counter::kCount),
+              "kCounterInfo must cover every Counter enum value");
+
+inline const char* counter_name(Counter c) {
+  return kCounterInfo[static_cast<std::size_t>(c)].name;
+}
 
 struct Counters {
   std::array<std::uint64_t, static_cast<std::size_t>(Counter::kCount)> v{};
@@ -113,10 +186,15 @@ struct Counters {
     auto& cur = v[static_cast<std::size_t>(c)];
     if (value > cur) cur = value;
   }
-  // Study-level aggregation: sums monotonic counters, maxes gauges.
+  // Study-level aggregation, by each counter's CounterKind.
   void merge(const Counters& other);
   void clear() { v.fill(0); }
 };
+
+// Appends the counters as one JSON object, {"name":value,...} in table
+// order: the "counters" section of a flight dump and the args of a Chrome
+// trace's play_counters event.
+void append_counters_json(std::string& out, const Counters& counters);
 
 // Fixed-capacity ring of trace events. When full, the oldest events are
 // overwritten and dropped() grows — recent history wins, memory stays

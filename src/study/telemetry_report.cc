@@ -192,13 +192,14 @@ std::string telemetry_report(const StudyResult& result) {
 void write_series_csv(const std::string& path,
                       const std::vector<tracer::TraceRecord>& records) {
   stats::CsvWriter csv(path);
-  std::vector<std::string> row = {
-      "user_id",    "record_slot",  "clip_id",     "server",
-      "t_usec",     "buffer_sec",   "fps",         "bandwidth_kbps",
-      "cwnd_bytes", "retx_per_sec", "pacing_kbps", "cc_state"};
+  std::vector<std::string> row = {"user_id", "record_slot", "clip_id",
+                                  "server", "t_usec"};
+  for (const telemetry::SeriesColumn& col : telemetry::kSeriesColumns) {
+    row.push_back(col.name);
+  }
   for (std::size_t l = 0; l < world::PlayPath::kLinkCount; ++l) {
-    row.push_back(world::path_link_name(l) + "_occupancy");
-    row.push_back(world::path_link_name(l) + "_drops");
+    row.push_back(world::path_link_name(l) + "_" + telemetry::kLinkOccupancy);
+    row.push_back(world::path_link_name(l) + "_" + telemetry::kLinkDrops);
   }
   csv.write_row(row);
   for (std::size_t slot = 0; slot < records.size(); ++slot) {
@@ -212,13 +213,9 @@ void write_series_csv(const std::string& path,
       row.push_back(std::to_string(rec.clip_id));
       row.push_back(rec.server_name);
       row.push_back(std::to_string(s.t[i]));
-      row.push_back(util::format_double(s.buffer_sec[i], 6));
-      row.push_back(util::format_double(s.fps[i], 6));
-      row.push_back(util::format_double(s.bandwidth_kbps[i], 6));
-      row.push_back(util::format_double(s.cwnd_bytes[i], 6));
-      row.push_back(util::format_double(s.retx_per_sec[i], 6));
-      row.push_back(util::format_double(s.pacing_kbps[i], 6));
-      row.push_back(util::format_double(s.cc_state[i], 6));
+      for (const telemetry::SeriesColumn& col : telemetry::kSeriesColumns) {
+        row.push_back(util::format_double((s.*col.member)[i], 6));
+      }
       for (std::size_t l = 0; l < world::PlayPath::kLinkCount; ++l) {
         if (l < s.links.size() && i < s.links[l].occupancy.size()) {
           row.push_back(util::format_double(s.links[l].occupancy[i], 6));
@@ -245,17 +242,14 @@ std::vector<obs::CounterSeries> chrome_counter_series(
     cs.v = v;
     out.push_back(std::move(cs));
   };
-  add("buffer_sec", s.buffer_sec);
-  add("fps", s.fps);
-  add("bandwidth_kbps", s.bandwidth_kbps);
-  add("cwnd_bytes", s.cwnd_bytes);
-  add("retx_per_sec", s.retx_per_sec);
-  add("pacing_kbps", s.pacing_kbps);
-  add("cc_state", s.cc_state);
+  for (const telemetry::SeriesColumn& col : telemetry::kSeriesColumns) {
+    add(col.name, s.*col.member);
+  }
   for (std::size_t l = 0; l < s.links.size(); ++l) {
-    add(world::path_link_name(l) + "_occupancy", s.links[l].occupancy);
+    const std::string link = world::path_link_name(l) + "_";
+    add(link + telemetry::kLinkOccupancy, s.links[l].occupancy);
     obs::CounterSeries drops;
-    drops.name = world::path_link_name(l) + "_drops";
+    drops.name = link + telemetry::kLinkDrops;
     drops.t = s.t;
     drops.v.assign(s.links[l].drops.begin(), s.links[l].drops.end());
     out.push_back(std::move(drops));

@@ -97,7 +97,9 @@ std::string telemetry_report(const StudyResult& result);
 
 // Exports every play's series as CSV, one row per sample:
 //   user_id,record_slot,clip_id,server,t_usec,buffer_sec,fps,bandwidth_kbps,
-//   cwnd_bytes,retx_per_sec,<link>_occupancy,<link>_drops,...
+//   cwnd_bytes,retx_per_sec,pacing_kbps,cc_state,<link>_occupancy,
+//   <link>_drops,...
+// (the value columns are telemetry::kSeriesColumns, in table order).
 // Throws (via CsvWriter) when the file cannot be opened.
 void write_series_csv(const std::string& path,
                       const std::vector<tracer::TraceRecord>& records);

@@ -46,14 +46,8 @@ void append_events(std::string& out, const obs::PlayObs& obs) {
     out += std::to_string(ev.a1);
     out += '}';
   }
-  out += "],\"counters\":{";
-  for (std::size_t i = 0; i < obs.counters.v.size(); ++i) {
-    if (i != 0) out += ',';
-    out += util::json_quote(obs::counter_name(static_cast<obs::Counter>(i)));
-    out += ':';
-    out += std::to_string(obs.counters.v[i]);
-  }
-  out += '}';
+  out += "],\"counters\":";
+  obs::append_counters_json(out, obs.counters);
 }
 
 void append_series(std::string& out, const PlaySeries& series) {
@@ -62,26 +56,22 @@ void append_series(std::string& out, const PlaySeries& series) {
   out += std::to_string(series.interval);
   out += ",\"t\":";
   append_int_array(out, s.t);
-  out += ",\"buffer_sec\":";
-  append_double_array(out, s.buffer_sec);
-  out += ",\"fps\":";
-  append_double_array(out, s.fps);
-  out += ",\"bandwidth_kbps\":";
-  append_double_array(out, s.bandwidth_kbps);
-  out += ",\"cwnd_bytes\":";
-  append_double_array(out, s.cwnd_bytes);
-  out += ",\"retx_per_sec\":";
-  append_double_array(out, s.retx_per_sec);
-  out += ",\"pacing_kbps\":";
-  append_double_array(out, s.pacing_kbps);
-  out += ",\"cc_state\":";
-  append_double_array(out, s.cc_state);
+  for (const SeriesColumn& col : kSeriesColumns) {
+    out += ",\"";
+    out += col.name;
+    out += "\":";
+    append_double_array(out, s.*col.member);
+  }
   out += ",\"links\":[";
   for (std::size_t l = 0; l < s.links.size(); ++l) {
     if (l != 0) out += ',';
-    out += "{\"occupancy\":";
+    out += "{\"";
+    out += kLinkOccupancy;
+    out += "\":";
     append_double_array(out, s.links[l].occupancy);
-    out += ",\"drops\":";
+    out += ",\"";
+    out += kLinkDrops;
+    out += "\":";
     append_int_array(out, s.links[l].drops);
     out += '}';
   }

@@ -7,13 +7,7 @@ namespace rv::telemetry {
 
 void Series::reset(std::size_t link_count) {
   t.clear();
-  buffer_sec.clear();
-  fps.clear();
-  bandwidth_kbps.clear();
-  cwnd_bytes.clear();
-  retx_per_sec.clear();
-  pacing_kbps.clear();
-  cc_state.clear();
+  for (const SeriesColumn& col : kSeriesColumns) (this->*col.member).clear();
   links.resize(link_count);
   for (auto& link : links) {
     link.occupancy.clear();

@@ -60,6 +60,29 @@ struct Series {
   bool operator==(const Series& other) const = default;
 };
 
+// The series vocabulary: one row per double column, in export order. Flight
+// dumps, the series CSV and the Chrome counter tracks name and order the
+// columns by this table; the time column and the per-link columns are
+// spelled by each exporter's own layout around it.
+struct SeriesColumn {
+  const char* name;
+  std::vector<double> Series::*member;
+};
+inline constexpr SeriesColumn kSeriesColumns[] = {
+    {"buffer_sec", &Series::buffer_sec},
+    {"fps", &Series::fps},
+    {"bandwidth_kbps", &Series::bandwidth_kbps},
+    {"cwnd_bytes", &Series::cwnd_bytes},
+    {"retx_per_sec", &Series::retx_per_sec},
+    {"pacing_kbps", &Series::pacing_kbps},
+    {"cc_state", &Series::cc_state},
+};
+
+// Per-link column names. Flight dumps key each link's object by them; the
+// CSV and the Chrome counter tracks prefix them with the link's name.
+inline constexpr const char* kLinkOccupancy = "occupancy";
+inline constexpr const char* kLinkDrops = "drops";
+
 // Snapshot carried in tracer::TraceRecord. Like PlayObs, in-memory only:
 // never serialized into the study cache.
 struct PlaySeries {

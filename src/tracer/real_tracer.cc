@@ -99,27 +99,28 @@ TraceRecord RealTracer::run_session(
     std::size_t playlist_index, std::uint64_t play_seed, bool force_tcp,
     const faults::PlayFaults* play_faults, bool observe) const {
   TraceRecord rec = base_record(user, catalog_, playlist_index);
-  // Install the context's sink for the whole session so every hook below
+  // Install a sink for the whole session so every hook below
   // (path, server, client, faults) records into this play. Purely
   // observational: no rng draw or event order depends on it.
+  std::optional<obs::PlaySink> sink;
   std::optional<obs::ScopedSink> obs_scope;
   if (observe) {
-    ctx.sink.reset(config_.obs.ring_capacity);
-    obs_scope.emplace(&ctx.sink);
+    sink.emplace(obs::TraceBuffer(config_.obs.ring_capacity));
+    obs_scope.emplace(&*sink);
   }
   const auto& site = world::server_sites().at(rec.site);
   util::Rng rng(play_seed);
 
   // Clear the previous play's pending events out of the context *before*
-  // the path rebuild schedules this play's. After reset the simulator is
+  // the path build schedules this play's. After reset the simulator is
   // observationally a fresh one, so reuse cannot perturb results.
   sim::Simulator& sim = ctx.sim;
   sim.reset();
-  world::PathBuilder builder(graph_, config_.path);
   const world::AccessSpec access =
       world::access_spec_for(user.connection, rng);
-  builder.build_into(ctx.path, sim, user, access, site, rng);
-  world::PlayPath& path = ctx.path;
+  // Declared before the server and the player, so it outlives both.
+  world::PlayPath path = world::PathBuilder(graph_, config_.path)
+                             .build(sim, user, access, site, rng);
   path.start_cross_traffic();
 
   server::RealServerConfig server_cfg;
@@ -183,9 +184,10 @@ TraceRecord RealTracer::run_session(
   // grid — no rng draws, no observable mutation — so enabling it cannot
   // change the play's outcome (its timer events renumber later event seqs,
   // which never reorders existing ties; see telemetry/series.h).
+  telemetry::Series series;
   std::optional<telemetry::PlaySampler> sampler;
   if (config_.telemetry.enabled) {
-    ctx.series.reset(world::PlayPath::kLinkCount);
+    series.reset(world::PlayPath::kLinkCount);
     telemetry::Probe probe;
     probe.buffer_sec = [&player] { return player.buffered_media_seconds(); };
     probe.frames_played = [&player] { return player.frames_played_so_far(); };
@@ -200,7 +202,7 @@ TraceRecord RealTracer::run_session(
     probe.cc_state = [&server] { return server.last_session_cc_state(); };
     probe.finished = [&player] { return player.finished(); };
     sampler.emplace(sim, path.network.get(), world::PlayPath::kLinkCount,
-                    std::move(probe), &ctx.series, config_.telemetry.interval);
+                    std::move(probe), &series, config_.telemetry.interval);
     sampler->start();
   }
 
@@ -212,15 +214,18 @@ TraceRecord RealTracer::run_session(
   if (config_.telemetry.enabled) {
     rec.series.enabled = true;
     rec.series.interval = config_.telemetry.interval;
-    rec.series.data = ctx.series;
+    // Copied, not moved: a copy's columns hold exactly their samples, where
+    // the sampler's grew by doubling, and a whole chunk of records stays in
+    // memory (writing in place raised campaign peak RSS by half).
+    rec.series.data = series;
   }
   if (observe) {
     obs_scope.reset();  // stop recording before the snapshot
-    ctx.sink.counters.add(obs::Counter::kSimEvents, sim.events_executed());
+    sink->counters.add(obs::Counter::kSimEvents, sim.events_executed());
     rec.obs.enabled = true;
-    rec.obs.events = ctx.sink.buffer.snapshot();
-    rec.obs.events_dropped = ctx.sink.buffer.dropped();
-    rec.obs.counters = ctx.sink.counters;
+    rec.obs.events = sink->buffer.snapshot();
+    rec.obs.events_dropped = sink->buffer.dropped();
+    rec.obs.counters = sink->counters;
   }
   return rec;
 }

@@ -55,18 +55,14 @@ struct TracerConfig {
   telemetry::TelemetryConfig telemetry;
 };
 
-// Reusable per-worker execution state. The Simulator and the path scratch
-// outlive individual plays: event-slot chunks, the heap buffer and the
-// cross-traffic vector capacity are retained across sessions, so a play
-// reuses the buffers its predecessors grew. One context per worker thread;
-// contexts must never be shared concurrently. Line-aligned so that the
-// contexts the engine allocates up front, one per worker, never share a
-// cache line.
+// Reusable per-worker execution state. The Simulator outlives individual
+// plays: its event-slot chunks and heap buffer are retained across
+// sessions, so a play reuses the buffers its predecessors grew. One context
+// per worker thread; contexts must never be shared concurrently.
+// Line-aligned so that the contexts the engine allocates up front, one per
+// worker, never share a cache line.
 struct alignas(64) PlayContext {
   sim::Simulator sim;
-  world::PlayPath path;  // path.network, when reused, schedules into `sim`
-  obs::PlaySink sink;    // reused ring + counters for observed plays
-  telemetry::Series series;  // reused sample columns for telemetry plays
 
   PlayContext() = default;
   PlayContext(const PlayContext&) = delete;
@@ -140,9 +136,9 @@ class RealTracer {
 
  private:
   // The streaming-session core shared by run_single and run_play: resets
-  // `ctx`, rebuilds the path in place, and simulates one play.
-  // `observe` installs ctx.sink for the play and snapshots it into the
-  // record's obs member.
+  // ctx.sim, builds the play's path, and simulates one play. `observe`
+  // installs a trace sink for the play and snapshots it into the record's
+  // obs member.
   TraceRecord run_session(PlayContext& ctx, const world::UserProfile& user,
                           std::size_t playlist_index, std::uint64_t play_seed,
                           bool force_tcp,

@@ -1,5 +1,6 @@
 #include "util/args.h"
 
+#include <algorithm>
 #include <charconv>
 
 #include "util/strings.h"
@@ -70,6 +71,17 @@ std::int64_t Args::get_int(const std::string& key,
 
 bool Args::has(const std::string& key) const {
   return values_.count(key) > 0;
+}
+
+std::vector<std::string> Args::unknown_flags(
+    std::initializer_list<std::string_view> known) const {
+  std::vector<std::string> out;
+  for (const auto& entry : values_) {
+    if (std::find(known.begin(), known.end(), entry.first) == known.end()) {
+      out.push_back("--" + entry.first);
+    }
+  }
+  return out;
 }
 
 std::optional<std::int64_t> parse_int(std::string_view text) {

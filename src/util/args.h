@@ -2,7 +2,8 @@
 //
 // Supports --flag, --key value and --key=value forms plus positional
 // arguments. A bare "--" ends flag parsing; everything after it is
-// positional. Unknown flags are collected so tools can report them.
+// positional. unknown_flags() lists the flags a tool does not read, so
+// the tool can reject them.
 //
 // Numeric accessors parse strictly (std::from_chars, full-token match).
 // A malformed value returns the fallback and records a diagnostic
@@ -12,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <optional>
 #include <string>
@@ -36,6 +38,11 @@ class Args {
   bool has(const std::string& key) const;
 
   const std::vector<std::string>& positional() const { return positional_; }
+
+  // The flags given that are not in `known`, as "--name", in name order.
+  // Tools pass every flag they read and treat the rest as usage errors.
+  std::vector<std::string> unknown_flags(
+      std::initializer_list<std::string_view> known) const;
 
   // Diagnostics accumulated by the numeric accessors (one human-readable
   // line per malformed value). Empty when every queried flag parsed.

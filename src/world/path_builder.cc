@@ -58,23 +58,7 @@ PlayPath PathBuilder::build(sim::Simulator& sim, const UserProfile& user,
                             const AccessSpec& access, const ServerSite& site,
                             util::Rng& rng) const {
   PlayPath path;
-  build_into(path, sim, user, access, site, rng);
-  return path;
-}
-
-void PathBuilder::build_into(PlayPath& path, sim::Simulator& sim,
-                             const UserProfile& user, const AccessSpec& access,
-                             const ServerSite& site, util::Rng& rng) const {
-  if (path.network == nullptr) {
-    path.network = std::make_unique<net::Network>(sim);
-  } else {
-    RV_CHECK(&path.network->simulator() == &sim)
-        << "a reused PlayPath is bound to its original Simulator";
-    path.network->reset();
-  }
-  // The old sources scheduled into a simulator that has since been reset,
-  // so destroying them here cannot race a pending emit event.
-  path.cross_traffic.clear();
+  path.network = std::make_unique<net::Network>(sim);
   net::Network& net = *path.network;
 
   const net::NodeId client = net.add_node("client");
@@ -154,6 +138,7 @@ void PathBuilder::build_into(PlayPath& path, sim::Simulator& sim,
   net.compute_routes();
   RV_CHECK_EQ(net.link_count(), PlayPath::kLinkCount)
       << "PlayPath link layout changed; update PlayPath::LinkIndex";
+  return path;
 }
 
 std::string path_link_name(std::size_t index) {

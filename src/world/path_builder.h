@@ -80,16 +80,6 @@ class PathBuilder {
                  const AccessSpec& access, const ServerSite& site,
                  util::Rng& rng) const;
 
-  // In-place variant for reusable per-worker contexts: rebuilds `path` for
-  // a new play, retaining the Network object plus the cross-traffic vector
-  // capacity across calls. A reused path.network must have been built
-  // against the same Simulator object — it holds a reference — and that
-  // simulator must already be reset (its pending events, which point at
-  // the old topology, destroyed). Identical rng draws to build().
-  void build_into(PlayPath& path, sim::Simulator& sim,
-                  const UserProfile& user, const AccessSpec& access,
-                  const ServerSite& site, util::Rng& rng) const;
-
  private:
   const RegionGraph& graph_;
   PathBuilderConfig config_;

@@ -95,7 +95,7 @@ TEST(Metrics, EncodeEmitsEveryFamilyWithHelpAndType) {
   MetricsRegistry reg;
   const std::string text = reg.encode_prometheus();
   for (std::size_t i = 0; i < static_cast<std::size_t>(Metric::kCount); ++i) {
-    const char* name = metric_name(static_cast<Metric>(i));
+    const char* name = kMetricInfo[i].name;
     EXPECT_NE(text.find(std::string("# HELP ") + name), std::string::npos);
     EXPECT_NE(text.find(std::string("# TYPE ") + name + " counter"),
               std::string::npos)
@@ -103,21 +103,21 @@ TEST(Metrics, EncodeEmitsEveryFamilyWithHelpAndType) {
   }
   for (std::size_t i = 0; i < static_cast<std::size_t>(MetricGauge::kCount);
        ++i) {
-    const char* name = gauge_name(static_cast<MetricGauge>(i));
+    const char* name = kGaugeInfo[i].name;
     EXPECT_NE(text.find(std::string("# TYPE ") + name + " gauge"),
               std::string::npos)
         << name;
   }
   for (std::size_t i = 0; i < static_cast<std::size_t>(MetricHist::kCount);
        ++i) {
-    const char* name = hist_name(static_cast<MetricHist>(i));
+    const char* name = kHistInfo[i].name;
     EXPECT_NE(text.find(std::string("# TYPE ") + name + " histogram"),
               std::string::npos)
         << name;
   }
   // Counter families follow the Prometheus _total convention.
   for (std::size_t i = 0; i < static_cast<std::size_t>(Metric::kCount); ++i) {
-    const std::string name = metric_name(static_cast<Metric>(i));
+    const std::string name = kMetricInfo[i].name;
     EXPECT_EQ(name.rfind("_total"), name.size() - 6) << name;
   }
 }
@@ -167,7 +167,9 @@ TEST(Metrics, HistogramBucketsAreCumulative) {
   reg.observe(MetricHist::kPlayFps, 1000.0);  // clamps into the last bin
   const std::string text = reg.encode_prometheus();
   const auto buckets = bucket_lines(text, "rv_play_fps");
-  ASSERT_EQ(buckets.size(), kMetricFpsBins + 1);  // finite bins + +Inf
+  ASSERT_EQ(buckets.size(),
+            kHistInfo[static_cast<std::size_t>(MetricHist::kPlayFps)].bins +
+                1);  // finite bins + +Inf
   std::uint64_t prev = 0;
   for (const auto& [le, count] : buckets) {
     EXPECT_GE(count, prev) << "bucket le=" << le << " not cumulative";

@@ -8,15 +8,18 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
 
 #include "obs/chrome_trace.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "study/analysis.h"
 #include "study/cache.h"
 #include "study/study.h"
+#include "telemetry/series.h"
 
 namespace rv::obs {
 namespace {
@@ -90,6 +93,47 @@ TEST(TraceEventLayout, CodeAndCounterNamesAreUniqueAndNonEmpty) {
     counter_names.insert(name);
   }
   EXPECT_EQ(counter_names.size(), static_cast<std::size_t>(Counter::kCount));
+}
+
+// The names of one vocabulary table, in row order.
+template <typename Row, std::size_t N>
+std::vector<std::string> names_of(const Row (&table)[N]) {
+  std::vector<std::string> out;
+  for (const Row& row : table) out.push_back(row.name);
+  return out;
+}
+
+// Every vocabulary table, by its C++ name.
+std::map<std::string, std::vector<std::string>> vocabulary() {
+  return {{"kCodeInfo", names_of(kCodeInfo)},
+          {"kCounterInfo", names_of(kCounterInfo)},
+          {"kSeriesColumns", names_of(telemetry::kSeriesColumns)},
+          {"kMetricInfo", names_of(kMetricInfo)},
+          {"kGaugeInfo", names_of(kGaugeInfo)},
+          {"kHistInfo", names_of(kHistInfo)}};
+}
+
+TEST(TraceEventLayout, SeriesAndMetricNamesAreUniqueAndNonEmpty) {
+  for (const auto& [table, names] : vocabulary()) {
+    const std::set<std::string> unique(names.begin(), names.end());
+    EXPECT_EQ(unique.size(), names.size()) << table;
+    EXPECT_EQ(unique.count(""), 0u) << table;
+  }
+}
+
+TEST(VocabularyDocs, ListsEveryName) {
+  std::ifstream is(RV_OBSERVABILITY_DOC);
+  ASSERT_TRUE(is) << RV_OBSERVABILITY_DOC;
+  std::ostringstream os;
+  os << is.rdbuf();
+  const std::string doc = os.str();
+  for (const auto& [table, names] : vocabulary()) {
+    for (const std::string& name : names) {
+      EXPECT_NE(doc.find("`" + name + "`"), std::string::npos)
+          << table << " name " << name << " is missing from "
+          << RV_OBSERVABILITY_DOC;
+    }
+  }
 }
 
 TEST(ParseTracePlay, AcceptsExactlyTwoNonNegativeInts) {

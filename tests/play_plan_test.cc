@@ -123,8 +123,8 @@ TEST_F(PlanFixture, HeavyTailedPopulationHasBoundedTaskGranularity) {
 
 TEST_F(PlanFixture, ReusedContextMatchesFreshContexts) {
   // The whole context-reuse optimisation must be invisible in the records:
-  // executing a user's tasks through one warm PlayContext (simulator +
-  // network reused play after play) has to produce exactly
+  // executing a user's tasks through one warm PlayContext (simulator
+  // reused play after play) has to produce exactly
   // what per-play fresh contexts produce.
   const auto user = synthetic_user(5, 4);
   StudyPlan plan;

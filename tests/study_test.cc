@@ -182,18 +182,19 @@ TEST(Study, CacheHitFeedsMetricsLikeAFreshRun) {
   EXPECT_GT(fresh.value(obs::Metric::kPlaysCompleted), 0u);
   for (const auto m : {obs::Metric::kPlaysCompleted,
                        obs::Metric::kUsersCompleted}) {
-    EXPECT_EQ(hit.value(m), fresh.value(m)) << obs::metric_name(m);
+    EXPECT_EQ(hit.value(m), fresh.value(m)) << obs::kMetricInfo[static_cast<std::size_t>(m)].name;
   }
   EXPECT_EQ(hit.gauge(obs::MetricGauge::kUsersPlanned),
             fresh.gauge(obs::MetricGauge::kUsersPlanned));
   EXPECT_GT(hit.gauge(obs::MetricGauge::kRssKb), 0);
   for (const auto h : {obs::MetricHist::kPlayFps,
                        obs::MetricHist::kPlayBandwidthKbps}) {
-    EXPECT_GT(fresh.hist_count(h), 0u) << obs::hist_name(h);
-    EXPECT_EQ(hit.hist_count(h), fresh.hist_count(h)) << obs::hist_name(h);
+    const char* name = obs::kHistInfo[static_cast<std::size_t>(h)].name;
+    EXPECT_GT(fresh.hist_count(h), 0u) << name;
+    EXPECT_EQ(hit.hist_count(h), fresh.hist_count(h)) << name;
     for (const double q : {0.1, 0.5, 0.9}) {
       EXPECT_EQ(hit.hist_quantile(h, q), fresh.hist_quantile(h, q))
-          << obs::hist_name(h) << " q" << q;
+          << name << " q" << q;
     }
   }
 }

@@ -240,6 +240,14 @@ TEST(Args, ValueContainingEquals) {
   EXPECT_EQ(args.get("filter"), "key=value");
 }
 
+TEST(Args, UnknownFlagsAreTheOnesOutsideTheKnownSet) {
+  const auto args = make_args(
+      {"prog", "summary", "--scael", "0.1", "--seed=7", "--bare", "--", "--x"});
+  EXPECT_EQ(args.unknown_flags({"scale", "seed"}),
+            (std::vector<std::string>{"--bare", "--scael"}));
+  EXPECT_TRUE(args.unknown_flags({"bare", "scael", "seed"}).empty());
+}
+
 TEST(Args, ValidNumericsLeaveErrorsEmpty) {
   const auto args =
       make_args({"prog", "--scale=0.25", "--seed=2001", "--watch", "60"});

@@ -281,10 +281,9 @@ int cmd_write_trace(const study::StudyResult& result,
   const obs::Counters totals = study::counter_totals(result.records);
   std::cout << "wrote " << path << " (" << tracks.size()
             << " traced plays)\n";
-  for (std::size_t i = 0;
-       i < static_cast<std::size_t>(obs::Counter::kCount); ++i) {
-    std::cout << "  " << obs::counter_name(static_cast<obs::Counter>(i))
-              << " = " << totals.v[i] << "\n";
+  for (std::size_t i = 0; i < std::size(obs::kCounterInfo); ++i) {
+    std::cout << "  " << obs::kCounterInfo[i].name << " = " << totals.v[i]
+              << "\n";
   }
   return 0;
 }
@@ -479,6 +478,17 @@ int main(int argc, char** argv) {
                  "[--watch SEC] [--heartbeat-dir DIR]\n";
     return args.has("help") ? 0 : 1;
   }
+  const auto unknown = args.unknown_flags(
+      {"scale", "seed", "threads", "cc", "cache-dir", "faults", "outage-scale",
+       "trace", "trace-play", "telemetry", "telemetry-interval-ms",
+       "series-csv", "flight-dir", "profile", "status-port", "status-hold-ms",
+       "country", "connection", "protocol", "server", "metric", "plays-scale",
+       "shard", "spill-dir", "rollup-out", "chunk-users", "watch",
+       "heartbeat-dir"});
+  for (const auto& flag : unknown) {
+    std::cerr << "unknown flag " << flag << "\n";
+  }
+  if (!unknown.empty()) return 2;
 
   study::StudyConfig config;
   config.play_scale = args.get_double("scale", 1.0);

@@ -91,6 +91,15 @@ int main(int argc, char** argv) {
                  "       retracer --spill-read <path> [--spill-record <k>]\n";
     return 0;
   }
+  const auto unknown = args.unknown_flags(
+      {"connection", "pc", "region", "clip", "protocol", "cc", "live", "watch",
+       "seed", "samples", "trace", "telemetry", "telemetry-interval-ms",
+       "series-csv", "status-port", "status-hold-ms", "spill-read",
+       "spill-record"});
+  for (const auto& flag : unknown) {
+    std::cerr << "unknown flag " << flag << "\n";
+  }
+  if (!unknown.empty()) return 2;
 
   if (args.has("spill-read")) {
     const std::string spill_path = args.get_or("spill-read", "");

@@ -143,5 +143,11 @@ int main(int argc, char** argv) {
                  " [--protocol auto|tcp] [--seed N] [--packets]\n";
     return 0;
   }
+  const auto unknown = args.unknown_flags(
+      {"connection", "clip", "protocol", "seed", "packets"});
+  for (const auto& flag : unknown) {
+    std::cerr << "unknown flag " << flag << "\n";
+  }
+  if (!unknown.empty()) return 2;
   return run(args);
 }

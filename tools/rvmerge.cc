@@ -69,6 +69,12 @@ int cmd_status(const rv::util::Args& args) {
 int main(int argc, char** argv) {
   using namespace rv;
   const util::Args args(argc, argv);
+  const auto unknown =
+      args.unknown_flags({"help", "out", "report", "status", "stale-after"});
+  for (const auto& flag : unknown) {
+    std::cerr << "unknown flag " << flag << "\n";
+  }
+  if (!unknown.empty()) return 2;
   if (args.has("status")) return cmd_status(args);
   if (args.has("help") || args.positional().empty()) {
     std::cout << "usage: rvmerge <shard-dir>... --out <dir> [--report]\n"
