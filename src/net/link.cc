@@ -23,18 +23,21 @@ LinkDirection::LinkDirection(sim::Simulator& sim, BitsPerSec rate,
 }
 
 void LinkDirection::send(std::unique_ptr<Packet> packet) {
-  if (!admit(*packet)) return;
-  const std::int32_t bytes = packet->size_bytes;
-  enqueue({std::move(packet), bytes});
+  if (admit(*packet)) {
+    const std::int32_t bytes = packet->size_bytes;
+    enqueue({std::move(packet), bytes});
+  }
+  check_invariants();
 }
 
 void LinkDirection::send_background(const Packet& shape) {
-  if (!admit(shape)) return;
-  enqueue({nullptr, shape.size_bytes});
+  if (admit(shape)) enqueue({nullptr, shape.size_bytes});
+  check_invariants();
 }
 
 bool LinkDirection::admit(const Packet& packet) {
   RV_CHECK_GT(packet.size_bytes, 0);
+  ++offered_;
   obs::count(obs::Counter::kPacketsEnqueued);
   if (fault_ != nullptr && fault_(packet, sim_.now())) {
     ++stats_.packets_faulted;
@@ -42,7 +45,7 @@ bool LinkDirection::admit(const Packet& packet) {
     obs::count(obs::Counter::kPacketsCorrupted);
     return false;
   }
-  if (!busy_) return true;
+  if (!busy()) return true;
   // RED drops probabilistically before the queue is full; drop-tail (and
   // RED's hard limit) drop on overflow.
   const std::int64_t occupancy = queued_bytes_;
@@ -56,16 +59,16 @@ bool LinkDirection::admit(const Packet& packet) {
 }
 
 void LinkDirection::enqueue(Entry entry) {
-  if (!busy_) {
+  if (!busy()) {
     start_transmission(std::move(entry));
     return;
   }
   queued_bytes_ += entry.bytes;
   queue_.push_back(std::move(entry));
+  if (!done_armed_) arm_done();
 }
 
 void LinkDirection::start_transmission(Entry entry) {
-  busy_ = true;
   const SimTime tx = transmission_time(entry.bytes, rate_);
   stats_.busy_time += tx;
   ++stats_.packets_sent;
@@ -83,17 +86,41 @@ void LinkDirection::start_transmission(Entry entry) {
                        if (deliver_) deliver_(std::move(p));
                      });
   }
-  sim_.schedule_in(tx, [this] { transmission_done(); });
+  done_at_ = sim_.now() + tx;
+  done_seq_ = sim_.reserve_seq();
+  done_armed_ = false;
+  if (!queue_.empty()) arm_done();
+}
+
+void LinkDirection::arm_done() {
+  RV_DCHECK(!done_armed_);
+  done_armed_ = true;
+  sim_.schedule_reserved(done_at_, done_seq_, [this] { transmission_done(); });
 }
 
 void LinkDirection::transmission_done() {
-  busy_ = false;
-  if (queue_.empty()) return;
+  // Armed only with an entry waiting, and nothing leaves the queue before
+  // its done fires.
+  RV_DCHECK(!queue_.empty());
   Entry next = std::move(queue_.front());
   queue_.pop_front();
   queued_bytes_ -= next.bytes;
   RV_CHECK_GE(queued_bytes_, 0);
   start_transmission(std::move(next));
+  check_invariants();
+}
+
+void LinkDirection::check_invariants() const {
+  RV_DCHECK(queue_.empty() || done_armed_)
+      << "entries wait behind a transmitter whose done event is not armed";
+  RV_DCHECK(queued_bytes_ == [this] {
+    std::int64_t sum = 0;
+    for (const Entry& e : queue_) sum += e.bytes;
+    return sum;
+  }()) << "queued_bytes_ " << queued_bytes_ << " is not the queue's sum";
+  RV_DCHECK(offered_ - stats_.packets_dropped ==
+            stats_.packets_sent + queue_.size())
+      << "admissions minus drops is not sent plus queued";
 }
 
 LinkDirection& Link::direction_from(NodeId from) {

@@ -90,7 +90,14 @@ class LinkDirection {
   bool admit(const Packet& packet);
   void enqueue(Entry entry);
   void start_transmission(Entry entry);
+  // Arms the transmit-done event at its reserved key; see done_seq_.
+  void arm_done();
   void transmission_done();
+  // The transmitter is busy until the current transmission's done key has
+  // been passed, whether or not its event was armed.
+  bool busy() const { return !sim_.has_fired(done_at_, done_seq_); }
+  // Debug-build checks of the queue accounting and the done event.
+  void check_invariants() const;
 
   sim::Simulator& sim_;
   BitsPerSec rate_;
@@ -99,7 +106,15 @@ class LinkDirection {
   std::unique_ptr<RedState> red_;  // null for drop-tail
   std::deque<Entry> queue_;
   std::int64_t queued_bytes_ = 0;
-  bool busy_ = false;
+  // The current transmission's transmit-done key, reserved when it starts.
+  // The event is armed only once an entry waits behind the transmitter:
+  // with nothing queued, its only effect would be to free the transmitter,
+  // which busy() reads off the key instead. Since the seq is taken where a
+  // scheduled done would have taken it, no other event's key moves.
+  SimTime done_at_ = 0;
+  std::uint64_t done_seq_ = 0;
+  bool done_armed_ = false;
+  std::uint64_t offered_ = 0;  // admit() calls, for check_invariants()
   std::function<void(std::unique_ptr<Packet>)> deliver_;
   FaultFilter fault_;
   DelayJitter jitter_;

@@ -135,7 +135,7 @@ EventId Simulator::schedule_at(SimTime at, EventFn&& fn) {
   const std::uint32_t slot = acquire_slot();
   Slot& s = slot_ref(slot);
   s.fn = std::move(fn);
-  return arm_slot(at, slot, s);
+  return arm_slot(at, next_seq_++, slot, s);
 }
 
 EventId Simulator::schedule_in(SimTime delay, EventFn&& fn) {
@@ -173,6 +173,7 @@ void Simulator::reset() {
   now_ = 0;
   next_seq_ = 1;
   executed_ = 0;
+  fired_ = 0;
 }
 
 bool Simulator::step() {
@@ -193,6 +194,7 @@ bool Simulator::step() {
     --live_;
     ++executed_;
     now_ = e.at();
+    fired_ = e.key;
     s.fn.invoke_and_clear();
     if (hot_slot_ == kNilSlot) {
       hot_slot_ = slot;
@@ -220,6 +222,11 @@ void Simulator::run_until(SimTime deadline) {
     if (!step()) break;
   }
   now_ = deadline;
+  // Every key at or before the deadline whose seq is already taken counts
+  // as passed. After the quirk's past-deadline fire this lowers the
+  // watermark along with the clock, so a key reserved at the rewound clock
+  // is not mistaken for a passed one.
+  fired_ = key_of(deadline, (next_seq_ << kSlotBits) - 1);
 }
 
 }  // namespace rv::sim

@@ -69,7 +69,7 @@ class Simulator {
     const std::uint32_t slot = acquire_slot();
     Slot& s = slot_ref(slot);
     s.fn = std::forward<F>(f);
-    return arm_slot(at, slot, s);
+    return arm_slot(at, next_seq_++, slot, s);
   }
   template <typename F, typename D = std::decay_t<F>,
             typename = std::enable_if_t<!std::is_same_v<D, EventFn> &&
@@ -78,6 +78,37 @@ class Simulator {
   EventId schedule_in(SimTime delay, F&& f) {
     RV_CHECK_GE(delay, 0);
     return schedule_at(now_ + delay, std::forward<F>(f));
+  }
+
+  // Reserved-seq events: a caller that learns only later whether it needs
+  // an event takes the event's sequence number now and arms it later.
+  // reserve_seq() takes the sequence number the next schedule call would
+  // have taken; schedule_reserved(at, seq, fn) arms an event at exactly that
+  // {at, seq} key, so it fires where an event scheduled at reservation time
+  // would have fired, and no other event's key moves. A key that is never
+  // armed costs nothing. has_fired(at, seq) says whether the kernel has run
+  // past the key: the last fired event is at or after it in {time, seq}
+  // order, or the last run_until deadline covers it (every key at or before
+  // the deadline whose seq was already taken). Arming a key that has
+  // already been passed trips an RV_CHECK.
+  std::uint64_t reserve_seq() {
+    RV_CHECK_LT(next_seq_, kSeqLimit) << "sequence space exhausted";
+    return next_seq_++;
+  }
+  template <typename F, typename D = std::decay_t<F>,
+            typename = std::enable_if_t<std::is_invocable_r_v<void, D&>>>
+  EventId schedule_reserved(SimTime at, std::uint64_t seq, F&& f) {
+    RV_CHECK(seq != 0 && seq < next_seq_) << "sequence " << seq
+                                          << " was never reserved";
+    RV_CHECK(at >= now_ && !has_fired(at, seq))
+        << "reserved key is behind the clock";
+    const std::uint32_t slot = acquire_slot();
+    Slot& s = slot_ref(slot);
+    s.fn = std::forward<F>(f);
+    return arm_slot(at, seq, slot, s);
+  }
+  bool has_fired(SimTime at, std::uint64_t seq) const {
+    return key_of(at, seq << kSlotBits) <= fired_;
   }
 
   // Cancels a pending event; cancelling an already-fired or invalid id is a
@@ -131,11 +162,10 @@ class Simulator {
     SimTime at() const { return static_cast<SimTime>(key >> 64); }
     std::uint64_t seq_slot() const { return static_cast<std::uint64_t>(key); }
   };
-  static HeapEntry make_entry(SimTime at, std::uint64_t seq_slot) {
-    return HeapEntry{
-        (static_cast<unsigned __int128>(static_cast<std::uint64_t>(at))
-         << 64) |
-        seq_slot};
+  static unsigned __int128 key_of(SimTime at, std::uint64_t seq_slot) {
+    return (static_cast<unsigned __int128>(static_cast<std::uint64_t>(at))
+            << 64) |
+           seq_slot;
   }
   struct Slot {
     EventFn fn;
@@ -206,12 +236,14 @@ class Simulator {
   }
   std::uint32_t grow_chunk();
 
-  // Second half of scheduling, after the callable is in the slot: assign the
-  // sequence key, push the heap entry, hand back the {generation, slot} id.
-  EventId arm_slot(SimTime at, std::uint32_t slot, Slot& s) {
-    s.seq_slot = (next_seq_++ << kSlotBits) | slot;
+  // Second half of scheduling, after the callable is in the slot: record
+  // the {seq, slot} key, push the heap entry, hand back the
+  // {generation, slot} id.
+  EventId arm_slot(SimTime at, std::uint64_t seq, std::uint32_t slot,
+                   Slot& s) {
+    s.seq_slot = (seq << kSlotBits) | slot;
     s.live = true;
-    heap_push(make_entry(at, s.seq_slot));
+    heap_push(HeapEntry{key_of(at, s.seq_slot)});
     ++live_;
     return make_id(s.gen, slot);
   }
@@ -221,6 +253,9 @@ class Simulator {
   std::uint64_t next_seq_ = 1;
   std::uint64_t executed_ = 0;
   std::size_t live_ = 0;
+  // has_fired's watermark: the key of the last fired event, or run_until's
+  // deadline key; 0 (before every key) after construction and reset.
+  unsigned __int128 fired_ = 0;
   // First slot chunk, cached raw: slot_ref resolves slots < kChunkSize (the
   // steady state of every real play) with one load instead of two.
   unsigned char* chunk0_ = nullptr;

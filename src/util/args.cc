@@ -7,7 +7,9 @@
 
 namespace rv::util {
 
-Args::Args(int argc, const char* const* argv) {
+Args::Args(int argc, const char* const* argv,
+           std::initializer_list<std::string_view> bare_flags)
+    : bare_flags_(bare_flags.begin(), bare_flags.end()) {
   if (argc > 0) program_ = argv[0];
   bool flags_done = false;
   for (int i = 1; i < argc; ++i) {
@@ -26,8 +28,12 @@ Args::Args(int argc, const char* const* argv) {
       values_[body.substr(0, eq)] = body.substr(eq + 1);
       continue;
     }
-    // "--key value" when the next token isn't itself a flag.
-    if (i + 1 < argc && std::string(argv[i + 1]).substr(0, 2) != "--") {
+    // "--key value" when the key takes values and the next token isn't
+    // itself a flag.
+    const bool bare = std::find(bare_flags_.begin(), bare_flags_.end(),
+                                body) != bare_flags_.end();
+    if (!bare && i + 1 < argc &&
+        std::string(argv[i + 1]).substr(0, 2) != "--") {
       values_[body] = argv[++i];
     } else {
       values_[body] = "";  // bare flag
@@ -74,10 +80,13 @@ bool Args::has(const std::string& key) const {
 }
 
 std::vector<std::string> Args::unknown_flags(
-    std::initializer_list<std::string_view> known) const {
+    std::initializer_list<std::string_view> valued) const {
   std::vector<std::string> out;
   for (const auto& entry : values_) {
-    if (std::find(known.begin(), known.end(), entry.first) == known.end()) {
+    if (std::find(valued.begin(), valued.end(), entry.first) ==
+            valued.end() &&
+        std::find(bare_flags_.begin(), bare_flags_.end(), entry.first) ==
+            bare_flags_.end()) {
       out.push_back("--" + entry.first);
     }
   }

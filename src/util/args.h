@@ -2,8 +2,10 @@
 //
 // Supports --flag, --key value and --key=value forms plus positional
 // arguments. A bare "--" ends flag parsing; everything after it is
-// positional. unknown_flags() lists the flags a tool does not read, so
-// the tool can reject them.
+// positional. A tool names its valueless flags up front: such a flag never
+// takes the next token as its value, so `--faults summary` is the flag plus
+// the positional `summary`. unknown_flags() lists the flags a tool does not
+// read, so the tool can reject them.
 //
 // Numeric accessors parse strictly (std::from_chars, full-token match).
 // A malformed value returns the fallback and records a diagnostic
@@ -24,7 +26,10 @@ namespace rv::util {
 
 class Args {
  public:
-  Args(int argc, const char* const* argv);
+  // `bare_flags` names the flags that never take a value. Any other flag
+  // takes the next token as its value unless that token starts with "--".
+  Args(int argc, const char* const* argv,
+       std::initializer_list<std::string_view> bare_flags = {});
 
   const std::string& program() const { return program_; }
 
@@ -39,10 +44,11 @@ class Args {
 
   const std::vector<std::string>& positional() const { return positional_; }
 
-  // The flags given that are not in `known`, as "--name", in name order.
-  // Tools pass every flag they read and treat the rest as usage errors.
+  // The flags given that are neither bare flags nor in `valued`, as
+  // "--name", in name order. Tools pass every valued flag they read and
+  // treat the rest as usage errors.
   std::vector<std::string> unknown_flags(
-      std::initializer_list<std::string_view> known) const;
+      std::initializer_list<std::string_view> valued) const;
 
   // Diagnostics accumulated by the numeric accessors (one human-readable
   // line per malformed value). Empty when every queried flag parsed.
@@ -52,6 +58,7 @@ class Args {
   std::string program_;
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
+  std::vector<std::string> bare_flags_;
   // Numeric accessors are const; diagnostics are a side channel.
   mutable std::vector<std::string> errors_;
 };

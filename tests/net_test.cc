@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <deque>
+#include <functional>
 #include <memory>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -507,6 +511,249 @@ TEST(CrossTraffic, BackgroundLoadMatchesDeliveredPackets) {
     EXPECT_EQ((ref.events_executed + ref.events_pending) -
                   (now.events_executed + now.events_pending),
               cross_transmitted);
+  }
+}
+
+// LinkDirection's transmitter as it was before reserved transmit-done
+// events: every transmission schedules its done event, and busy_ is a flag
+// that event clears. It is the reference the current LinkDirection must
+// match event for event. It also counts same-microsecond ties between an
+// arrival and a transmission end, on both sides of the done event.
+class AlwaysScheduledLink {
+ public:
+  AlwaysScheduledLink(sim::Simulator& sim, BitsPerSec rate,
+                      SimTime prop_delay, const QueueConfig& queue)
+      : sim_(sim),
+        rate_(rate),
+        prop_delay_(prop_delay),
+        queue_capacity_bytes_(queue.capacity_bytes) {
+    if (queue.policy == QueuePolicy::kRed) {
+      red_ = std::make_unique<RedState>(queue, queue.capacity_bytes);
+    }
+  }
+
+  void send(std::unique_ptr<Packet> packet) {
+    if (!admit(*packet)) return;
+    const std::int32_t bytes = packet->size_bytes;
+    enqueue({std::move(packet), bytes});
+  }
+  void send_background(const Packet& shape) {
+    if (!admit(shape)) return;
+    enqueue({nullptr, shape.size_bytes});
+  }
+  void set_deliver(std::function<void(std::unique_ptr<Packet>)> deliver) {
+    deliver_ = std::move(deliver);
+  }
+  void set_fault_filter(FaultFilter filter) { fault_ = std::move(filter); }
+  void set_delay_jitter(DelayJitter jitter) { jitter_ = std::move(jitter); }
+  std::int64_t queued_bytes() const { return queued_bytes_; }
+  const LinkStats& stats() const { return stats_; }
+
+  std::uint64_t arrivals_before_done = 0;  // at the done's time, still busy
+  std::uint64_t arrivals_after_done = 0;   // at the time a done just fired
+
+ private:
+  struct Entry {
+    std::unique_ptr<Packet> packet;
+    std::int32_t bytes = 0;
+  };
+
+  bool admit(const Packet& packet) {
+    if (busy_ && done_at_ == sim_.now()) ++arrivals_before_done;
+    if (last_done_ == sim_.now()) ++arrivals_after_done;
+    if (fault_ != nullptr && fault_(packet, sim_.now())) {
+      ++stats_.packets_faulted;
+      ++stats_.packets_dropped;
+      return false;
+    }
+    if (!busy_) return true;
+    const std::int64_t occupancy = queued_bytes_;
+    if ((red_ != nullptr && red_->should_drop(occupancy, packet.size_bytes)) ||
+        occupancy + packet.size_bytes > queue_capacity_bytes_) {
+      ++stats_.packets_dropped;
+      return false;
+    }
+    return true;
+  }
+  void enqueue(Entry entry) {
+    if (!busy_) {
+      start_transmission(std::move(entry));
+      return;
+    }
+    queued_bytes_ += entry.bytes;
+    queue_.push_back(std::move(entry));
+  }
+  void start_transmission(Entry entry) {
+    busy_ = true;
+    const SimTime tx = transmission_time(entry.bytes, rate_);
+    stats_.busy_time += tx;
+    ++stats_.packets_sent;
+    stats_.bytes_sent += static_cast<std::uint64_t>(entry.bytes);
+    const SimTime extra =
+        jitter_ ? std::max<SimTime>(0, jitter_(sim_.now())) : 0;
+    if (entry.packet) {
+      sim_.schedule_in(tx + prop_delay_ + extra,
+                       [this, p = std::move(entry.packet)]() mutable {
+                         if (deliver_) deliver_(std::move(p));
+                       });
+    }
+    done_at_ = sim_.now() + tx;
+    sim_.schedule_in(tx, [this] { transmission_done(); });
+  }
+  void transmission_done() {
+    busy_ = false;
+    last_done_ = sim_.now();
+    if (queue_.empty()) return;
+    Entry next = std::move(queue_.front());
+    queue_.pop_front();
+    queued_bytes_ -= next.bytes;
+    start_transmission(std::move(next));
+  }
+
+  sim::Simulator& sim_;
+  BitsPerSec rate_;
+  SimTime prop_delay_;
+  std::int64_t queue_capacity_bytes_;
+  std::unique_ptr<RedState> red_;
+  std::deque<Entry> queue_;
+  std::int64_t queued_bytes_ = 0;
+  bool busy_ = false;
+  SimTime done_at_ = -1;
+  SimTime last_done_ = -1;
+  std::function<void(std::unique_ptr<Packet>)> deliver_;
+  FaultFilter fault_;
+  DelayJitter jitter_;
+  LinkStats stats_;
+};
+
+struct TwoHopOutcome {
+  // Every delivery: (time, hop that delivered it, packet id), in order.
+  std::vector<std::tuple<SimTime, int, std::uint64_t>> deliveries;
+  // Both hops' queued bytes after every arrival.
+  std::vector<std::pair<std::int64_t, std::int64_t>> queued;
+  std::vector<LinkStats> stats;
+  std::uint64_t fault_draws = 0;
+  std::uint64_t jitter_draws = 0;
+  std::uint64_t events_executed = 0;
+  // Same-microsecond ties (counted by the reference only).
+  std::uint64_t arrivals_before_done = 0;
+  std::uint64_t arrivals_after_done = 0;
+};
+
+// Two link directions in series, hop 0 at 8 Mbit/s feeding hop 1 at
+// 6 Mbit/s, each with a fault filter and a delay-jitter hook drawing their
+// own RNGs. Two self-rescheduling arrival chains put 1000-byte packets
+// (tx = 1000 us on hop 0) on a 500 us grid, mixed with other sizes and
+// background load on both hops, so arrivals tie with transmission ends at
+// equal microseconds on both sides of the done event's seq. After a
+// run_until, a burst is sent from outside any event before the rest runs.
+template <typename Dir>
+TwoHopOutcome run_two_hops(QueuePolicy policy, std::uint64_t seed) {
+  sim::Simulator sim;
+  QueueConfig queue;
+  queue.policy = policy;
+  queue.capacity_bytes = 6000;
+  queue.red_weight = 0.05;  // reacts within one overload phase
+  Dir hop0(sim, mbps(8), usec(300), queue);
+  Dir hop1(sim, mbps(6), usec(700), queue);
+  TwoHopOutcome out;
+
+  util::Rng fault_rng(seed + 1);
+  util::Rng jitter_rng(seed + 2);
+  for (Dir* hop : {&hop0, &hop1}) {
+    hop->set_fault_filter([&](const Packet&, SimTime) {
+      ++out.fault_draws;
+      return fault_rng.bernoulli(0.02);
+    });
+    hop->set_delay_jitter([&](SimTime) {
+      ++out.jitter_draws;
+      return static_cast<SimTime>(jitter_rng.uniform_int(0, 2) * 500);
+    });
+  }
+  hop0.set_deliver([&](std::unique_ptr<Packet> p) {
+    out.deliveries.emplace_back(sim.now(), 0, p->tcp.seq);
+    hop1.send(std::move(p));
+  });
+  hop1.set_deliver([&](std::unique_ptr<Packet> p) {
+    out.deliveries.emplace_back(sim.now(), 1, p->tcp.seq);
+  });
+
+  util::Rng script(seed);
+  std::uint64_t next_id = 0;
+  const auto arrive = [&] {
+    const std::int32_t sizes[] = {1000, 1000, 1000, 500, 1500};
+    const std::int32_t bytes = sizes[script.uniform_int(0, 4)];
+    const std::int64_t kind = script.uniform_int(0, 3);
+    if (kind == 3) {
+      hop1.send_background(make_packet(0, 1, bytes));
+    } else if (kind == 2) {
+      hop0.send_background(make_packet(0, 1, bytes));
+    } else {
+      auto p = std::make_unique<Packet>(make_packet(0, 1, bytes));
+      p->tcp.seq = next_id++;
+      hop0.send(std::move(p));
+    }
+    out.queued.emplace_back(hop0.queued_bytes(), hop1.queued_bytes());
+  };
+  std::function<void()> chain = [&] {
+    arrive();
+    // Alternate 100 ms of overload with 100 ms of light load, so the hops
+    // both overflow and go idle.
+    const SimTime gaps[] = {0, 500, 1000, 1000, 2000, 3000, 4000, 6000};
+    const bool overload = (sim.now() / msec(100)) % 2 == 1;
+    sim.schedule_in(gaps[script.uniform_int(overload ? 0 : 3,
+                                            overload ? 3 : 7)],
+                    chain);
+  };
+  for (int k = 0; k < 2; ++k) sim.schedule_at(k * 1000, chain);
+
+  sim.run_until(msec(400));
+  for (int i = 0; i < 8; ++i) arrive();
+  sim.run_until(msec(800));
+  out.stats = {hop0.stats(), hop1.stats()};
+  out.events_executed = sim.events_executed();
+  if constexpr (std::is_same_v<Dir, AlwaysScheduledLink>) {
+    for (const Dir* hop : {&hop0, &hop1}) {
+      out.arrivals_before_done += hop->arrivals_before_done;
+      out.arrivals_after_done += hop->arrivals_after_done;
+    }
+  }
+  return out;
+}
+
+TEST(LinkDifferential, ReservedDoneMatchesAlwaysScheduledTransmitter) {
+  for (const QueuePolicy policy : {QueuePolicy::kDropTail, QueuePolicy::kRed}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      SCOPED_TRACE(policy == QueuePolicy::kRed ? "red" : "drop-tail");
+      SCOPED_TRACE(seed);
+      const auto ref = run_two_hops<AlwaysScheduledLink>(policy, seed);
+      const auto now = run_two_hops<LinkDirection>(policy, seed);
+
+      EXPECT_EQ(ref.deliveries, now.deliveries);
+      EXPECT_EQ(ref.queued, now.queued);
+      ASSERT_EQ(ref.stats.size(), now.stats.size());
+      for (std::size_t i = 0; i < ref.stats.size(); ++i) {
+        SCOPED_TRACE(i);
+        EXPECT_EQ(ref.stats[i].packets_sent, now.stats[i].packets_sent);
+        EXPECT_EQ(ref.stats[i].packets_dropped, now.stats[i].packets_dropped);
+        EXPECT_EQ(ref.stats[i].packets_faulted, now.stats[i].packets_faulted);
+        EXPECT_EQ(ref.stats[i].bytes_sent, now.stats[i].bytes_sent);
+        EXPECT_EQ(ref.stats[i].busy_time, now.stats[i].busy_time);
+      }
+      EXPECT_EQ(ref.fault_draws, now.fault_draws);
+      EXPECT_EQ(ref.jitter_draws, now.jitter_draws);
+
+      // The scenario exercises what it claims: overflow and fault drops on
+      // both hops, and fewer events for the same deliveries.
+      for (const LinkStats& hop : now.stats) {
+        EXPECT_GT(hop.packets_faulted, 0u);
+        EXPECT_GT(hop.packets_dropped, hop.packets_faulted);
+      }
+      EXPECT_GT(now.deliveries.size(), 500u);
+      EXPECT_GT(ref.arrivals_before_done, 0u);
+      EXPECT_GT(ref.arrivals_after_done, 0u);
+      EXPECT_LT(now.events_executed, ref.events_executed);
+    }
   }
 }
 

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "sim/simulator.h"
+#include "util/check.h"
 #include "util/units.h"
 
 namespace rv::sim {
@@ -324,6 +325,190 @@ TEST(SimKernelDifferential, RunUntilQuirkMatchesLegacyKernel) {
   LegacySimulator legacy;
   Simulator current;
   EXPECT_EQ(run_one(legacy), run_one(current));
+}
+
+
+// Reserved-seq events. A workload like drive() above, in two modes that
+// differ only in how "late" events are scheduled: kScheduled calls
+// schedule_at when the event is decided on, kReserved takes the seq then
+// and arms it with schedule_reserved a few operations later, after other
+// (often co-timed) events have been scheduled. kUnarmed never arms the late
+// events at all, and late events only log, so it must match kScheduled with
+// the late fires removed, as long as no bare step() is taken: a step that
+// fires a late event in one mode fires the next plain event in the other.
+enum class LateMode { kScheduled, kReserved, kUnarmed };
+
+struct Late {
+  SimTime at;
+  std::uint64_t seq;
+  int label;
+};
+
+std::vector<FireRecord> drive_reserved(std::uint32_t seed, LateMode mode,
+                                       bool steps) {
+  Simulator sim;
+  std::mt19937 rng(seed);
+  std::vector<FireRecord> log;
+  std::vector<Late> unarmed;  // reserved, not yet armed
+  int next_label = 0;
+
+  const auto arm_all = [&] {
+    for (const Late& late : unarmed) {
+      if (mode == LateMode::kReserved) {
+        const int label = late.label;
+        sim.schedule_reserved(late.at, late.seq, [&log, &sim, label] {
+          log.push_back({label, sim.now()});
+        });
+      }
+    }
+    unarmed.clear();
+  };
+  const auto schedule_late = [&](SimTime at) {
+    const int label = 100000 + next_label++;
+    if (mode == LateMode::kScheduled) {
+      sim.schedule_at(at, [&log, &sim, label] {
+        log.push_back({label, sim.now()});
+      });
+    } else {
+      unarmed.push_back({at, sim.reserve_seq(), label});
+    }
+  };
+  // Plain events log and sometimes decide on a late event and more plain
+  // events at their own time, arming before they return.
+  std::function<void(int)> fire = [&](int label) {
+    log.push_back({label, sim.now()});
+    if (label % 4 == 0) {
+      schedule_late(sim.now() + label % 3);
+      const int nested = next_label++;
+      sim.schedule_in(label % 2, [&fire, nested] { fire(nested); });
+      arm_all();
+    }
+  };
+
+  for (int op = 0; op < 400; ++op) {
+    switch (rng() % 6) {
+      case 0:
+      case 1: {  // plain event; small deltas force same-time ties
+        const int label = next_label++;
+        sim.schedule_in(static_cast<SimTime>(rng() % 4),
+                        [&fire, label] { fire(label); });
+        break;
+      }
+      case 2:
+        schedule_late(sim.now() + static_cast<SimTime>(rng() % 4));
+        break;
+      case 3:  // drains arm first: a key must not be passed before arming
+        arm_all();
+        sim.run_until(sim.now() + static_cast<SimTime>(rng() % 3));
+        break;
+      case 4:
+        arm_all();
+        if (steps) sim.step();
+        break;
+      case 5:
+        break;
+    }
+  }
+  arm_all();
+  sim.run();
+  return log;
+}
+
+TEST(ReservedEvents, FireWhereAnEventScheduledAtReservationWould) {
+  for (std::uint32_t seed = 1; seed <= 25; ++seed) {
+    const auto scheduled = drive_reserved(seed, LateMode::kScheduled, true);
+    const auto reserved = drive_reserved(seed, LateMode::kReserved, true);
+    EXPECT_EQ(scheduled, reserved) << "seed " << seed;
+    // The workload does put late events at the same time as plain ones.
+    const auto late_tie = [&scheduled](std::size_t i) {
+      return i > 0 && scheduled[i].at == scheduled[i - 1].at &&
+             (scheduled[i].label >= 100000) !=
+                 (scheduled[i - 1].label >= 100000);
+    };
+    bool tie = false;
+    for (std::size_t i = 0; i < scheduled.size(); ++i) tie = tie || late_tie(i);
+    EXPECT_TRUE(tie) << "seed " << seed;
+  }
+}
+
+TEST(ReservedEvents, UnarmedKeysLeaveEveryOtherEventInPlace) {
+  for (std::uint32_t seed = 1; seed <= 25; ++seed) {
+    auto scheduled = drive_reserved(seed, LateMode::kScheduled, false);
+    std::erase_if(scheduled,
+                  [](const FireRecord& r) { return r.label >= 100000; });
+    EXPECT_EQ(scheduled, drive_reserved(seed, LateMode::kUnarmed, false))
+        << "seed " << seed;
+  }
+}
+
+TEST(ReservedEvents, HasFiredTracksTheLastFiredKey) {
+  Simulator sim;
+  EXPECT_FALSE(sim.has_fired(0, 1));
+  std::vector<bool> seen;
+  const auto probe = [&](SimTime at, std::uint64_t seq) {
+    return [&sim, &seen, at, seq] { seen.push_back(sim.has_fired(at, seq)); };
+  };
+  std::uint64_t key_seq = 0;
+  sim.schedule_at(9, [&] { seen.push_back(sim.has_fired(10, key_seq)); });
+  sim.schedule_at(10, [&] { seen.push_back(sim.has_fired(10, key_seq)); });
+  key_seq = sim.reserve_seq();  // the key {10, key_seq}, never armed
+  sim.schedule_at(10, probe(10, key_seq));
+  sim.schedule_at(11, probe(10, key_seq));
+  sim.run();
+  // Before the key (earlier time; same time, earlier seq): not fired.
+  // After it (same time, later seq; later time): fired.
+  EXPECT_EQ(seen, (std::vector<bool>{false, false, true, true}));
+
+  // An armed key reads fired from inside its own event.
+  const std::uint64_t own = sim.reserve_seq();
+  sim.schedule_reserved(12, own, probe(12, own));
+  sim.run();
+  EXPECT_TRUE(seen.back());
+
+  // run_until covers every taken key up to its deadline, even with no event
+  // left to fire, but not later keys nor keys reserved after it returns.
+  const std::uint64_t early = sim.reserve_seq();
+  const std::uint64_t at_deadline = sim.reserve_seq();
+  const std::uint64_t late = sim.reserve_seq();
+  sim.run_until(20);
+  EXPECT_TRUE(sim.has_fired(15, early));
+  EXPECT_TRUE(sim.has_fired(20, at_deadline));
+  EXPECT_FALSE(sim.has_fired(21, late));
+  const std::uint64_t after = sim.reserve_seq();
+  EXPECT_FALSE(sim.has_fired(20, after));
+  sim.schedule_reserved(20, after, [] {});
+  EXPECT_EQ(sim.pending_events(), 1u);
+
+  // reset forgets every passed key.
+  sim.reset();
+  EXPECT_FALSE(sim.has_fired(15, early));
+  EXPECT_FALSE(sim.has_fired(0, 1));
+  EXPECT_EQ(sim.reserve_seq(), 1u);
+}
+
+TEST(ReservedEvents, ArmingAPassedOrUnreservedKeyThrows) {
+  Simulator sim;
+  const std::uint64_t seq = sim.reserve_seq();
+  sim.run_until(10);
+  EXPECT_THROW(sim.schedule_reserved(5, seq, [] {}), util::CheckError);
+  EXPECT_THROW(sim.schedule_reserved(10, seq, [] {}), util::CheckError);
+
+  // Same time as the firing event but an earlier seq: already passed.
+  const std::uint64_t tied = sim.reserve_seq();
+  bool threw = false;
+  sim.schedule_at(12, [&] {
+    try {
+      sim.schedule_reserved(12, tied, [] {});
+    } catch (const util::CheckError&) {
+      threw = true;
+    }
+  });
+  sim.run();
+  EXPECT_TRUE(threw);
+
+  EXPECT_THROW(sim.schedule_reserved(50, 0, [] {}), util::CheckError);
+  EXPECT_THROW(sim.schedule_reserved(50, 1000, [] {}), util::CheckError);
+  EXPECT_EQ(sim.pending_events(), 0u);
 }
 
 }  // namespace

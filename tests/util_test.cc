@@ -248,6 +248,50 @@ TEST(Args, UnknownFlagsAreTheOnesOutsideTheKnownSet) {
   EXPECT_TRUE(args.unknown_flags({"bare", "scael", "seed"}).empty());
 }
 
+util::Args make_args_with_bare(std::initializer_list<const char*> argv,
+                               std::initializer_list<std::string_view> bare) {
+  std::vector<const char*> v(argv);
+  return util::Args(static_cast<int>(v.size()), v.data(), bare);
+}
+
+TEST(Args, BareFlagNeverTakesTheNextToken) {
+  const auto args = make_args_with_bare(
+      {"prog", "--faults", "summary", "--report", "s0", "s1", "--out", "m"},
+      {"faults", "report"});
+  EXPECT_EQ(args.get("faults"), "");
+  EXPECT_EQ(args.get("report"), "");
+  EXPECT_EQ(args.get("out"), "m");
+  EXPECT_EQ(args.positional(),
+            (std::vector<std::string>{"summary", "s0", "s1"}));
+}
+
+TEST(Args, BareFlagDoesNotChangeValuedFlags) {
+  const auto args = make_args_with_bare(
+      {"prog", "--scale", "0.5", "--live", "--watch", "30", "--live2", "x"},
+      {"live"});
+  EXPECT_EQ(args.get("scale"), "0.5");
+  EXPECT_EQ(args.get_int("watch", 0), 30);
+  EXPECT_TRUE(args.has("live"));
+  // Not named bare, so it still takes the next token.
+  EXPECT_EQ(args.get("live2"), "x");
+  EXPECT_TRUE(args.positional().empty());
+}
+
+TEST(Args, BareFlagAtTheEndAndAfterDoubleDash) {
+  const auto args = make_args_with_bare(
+      {"prog", "run", "--profile", "--", "--profile2"}, {"profile"});
+  EXPECT_TRUE(args.has("profile"));
+  EXPECT_EQ(args.positional(), (std::vector<std::string>{"run", "--profile2"}));
+}
+
+TEST(Args, BareFlagsAreKnownFlags) {
+  const auto args = make_args_with_bare(
+      {"prog", "--faults", "--scale", "0.1", "--scael", "0.2"}, {"faults"});
+  EXPECT_EQ(args.unknown_flags({"scale"}),
+            (std::vector<std::string>{"--scael"}));
+  EXPECT_TRUE(args.unknown_flags({"scale", "scael"}).empty());
+}
+
 TEST(Args, ValidNumericsLeaveErrorsEmpty) {
   const auto args =
       make_args({"prog", "--scale=0.25", "--seed=2001", "--watch", "60"});

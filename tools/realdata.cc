@@ -463,7 +463,7 @@ struct StatusHold {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::Args args(argc, argv);
+  const util::Args args(argc, argv, {"help", "faults", "telemetry", "profile"});
   if (args.positional().empty() || args.has("help")) {
     std::cout << "usage: realdata <summary|fig N|slice|users|servers|"
                  "export DIR|campaign> [--scale X] [--seed N] [--threads N] "
@@ -479,12 +479,11 @@ int main(int argc, char** argv) {
     return args.has("help") ? 0 : 1;
   }
   const auto unknown = args.unknown_flags(
-      {"scale", "seed", "threads", "cc", "cache-dir", "faults", "outage-scale",
-       "trace", "trace-play", "telemetry", "telemetry-interval-ms",
-       "series-csv", "flight-dir", "profile", "status-port", "status-hold-ms",
-       "country", "connection", "protocol", "server", "metric", "plays-scale",
-       "shard", "spill-dir", "rollup-out", "chunk-users", "watch",
-       "heartbeat-dir"});
+      {"scale", "seed", "threads", "cc", "cache-dir", "outage-scale", "trace",
+       "trace-play", "telemetry-interval-ms", "series-csv", "flight-dir",
+       "status-port", "status-hold-ms", "country", "connection", "protocol",
+       "server", "metric", "plays-scale", "shard", "spill-dir", "rollup-out",
+       "chunk-users", "watch", "heartbeat-dir"});
   for (const auto& flag : unknown) {
     std::cerr << "unknown flag " << flag << "\n";
   }

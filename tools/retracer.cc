@@ -79,7 +79,7 @@ std::optional<world::Region> parse_region(const std::string& s) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::Args args(argc, argv);
+  const util::Args args(argc, argv, {"help", "live", "samples", "telemetry"});
   if (args.has("help")) {
     std::cout << "usage: retracer [--connection modem|dsl|t1] [--pc <class>]"
                  " [--region <name>] [--clip <0..97>] [--protocol auto|tcp]"
@@ -92,10 +92,9 @@ int main(int argc, char** argv) {
     return 0;
   }
   const auto unknown = args.unknown_flags(
-      {"connection", "pc", "region", "clip", "protocol", "cc", "live", "watch",
-       "seed", "samples", "trace", "telemetry", "telemetry-interval-ms",
-       "series-csv", "status-port", "status-hold-ms", "spill-read",
-       "spill-record"});
+      {"connection", "pc", "region", "clip", "protocol", "cc", "watch", "seed",
+       "trace", "telemetry-interval-ms", "series-csv", "status-port",
+       "status-hold-ms", "spill-read", "spill-record"});
   for (const auto& flag : unknown) {
     std::cerr << "unknown flag " << flag << "\n";
   }

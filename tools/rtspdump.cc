@@ -137,14 +137,14 @@ int run(const util::Args& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::Args args(argc, argv);
+  const util::Args args(argc, argv, {"help", "packets"});
   if (args.has("help")) {
     std::cout << "usage: rtspdump [--connection modem|dsl|t1] [--clip N]"
                  " [--protocol auto|tcp] [--seed N] [--packets]\n";
     return 0;
   }
   const auto unknown = args.unknown_flags(
-      {"connection", "clip", "protocol", "seed", "packets"});
+      {"connection", "clip", "protocol", "seed"});
   for (const auto& flag : unknown) {
     std::cerr << "unknown flag " << flag << "\n";
   }

@@ -68,9 +68,8 @@ int cmd_status(const rv::util::Args& args) {
 
 int main(int argc, char** argv) {
   using namespace rv;
-  const util::Args args(argc, argv);
-  const auto unknown =
-      args.unknown_flags({"help", "out", "report", "status", "stale-after"});
+  const util::Args args(argc, argv, {"help", "report"});
+  const auto unknown = args.unknown_flags({"out", "status", "stale-after"});
   for (const auto& flag : unknown) {
     std::cerr << "unknown flag " << flag << "\n";
   }
@@ -102,7 +101,7 @@ int main(int argc, char** argv) {
     study::CampaignRollup shard;
     std::string error;
     if (!study::CampaignRollup::load(rollup_path, &shard, &error)) {
-      std::cerr << error << "\n";
+      std::cerr << "shard " << dir << ": " << error << "\n";
       return 1;
     }
     std::cout << "shard " << dir << ": users [" << shard.user_first << ", "
@@ -119,7 +118,7 @@ int main(int argc, char** argv) {
       merged = std::move(shard);
       have_first = true;
     } else if (!merged.merge(shard, &error)) {
-      std::cerr << error << "\n";
+      std::cerr << "shard " << dir << ": " << error << "\n";
       return 1;
     }
   }
