@@ -443,12 +443,15 @@ void RealPlayerApp::handle_media(
       }
       note_level(meta->level);
       if (auto frame = assembler_.add(*meta)) {
+        ++frames_received_;
         playout_->on_frame(*frame);
       }
       // Partial frames whose playout slot passed are lost for good.
       if (playout_->playout_started()) {
-        playout_->add_network_drops(static_cast<std::int64_t>(
-            assembler_.discard_before(playout_->playout_position())));
+        const auto discarded = static_cast<std::int64_t>(
+            assembler_.discard_before(playout_->playout_position()));
+        frames_received_ += discarded;
+        playout_->add_network_drops(discarded);
       }
       break;
     }

@@ -85,6 +85,11 @@ class RealPlayerApp {
     return playout_ != nullptr ? playout_->frames_played() : 0;
   }
   std::int64_t bytes_received_so_far() const { return stats_.bytes_received; }
+  // Frames the assembler is done with: completed, or discarded incomplete
+  // once their playout slot passed. Every frame a playout engine plays or
+  // drops is one of them. A fragment arriving after its frame was completed
+  // or discarded starts the frame again, so one frame can count twice.
+  std::int64_t frames_received() const { return frames_received_; }
 
  private:
   // The transport auto-configuration ladder (§II.A): try UDP data first,
@@ -179,6 +184,7 @@ class RealPlayerApp {
   sim::EventId retry_timer_ = sim::kInvalidEventId;
 
   ClipStats stats_;
+  std::int64_t frames_received_ = 0;
   std::function<void()> on_finished_;
 };
 

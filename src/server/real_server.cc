@@ -284,6 +284,7 @@ void RealServerApp::destroy_session(std::uint64_t id) {
     it->second->sender->stop();
     finished_level_switches_ += it->second->sender->level_switches();
     finished_frames_thinned_ += it->second->sender->frames_thinned();
+    finished_frame_packets_sent_ += it->second->sender->frame_packets_sent();
   }
   sessions_.erase(it);
 }
@@ -300,6 +301,14 @@ std::uint64_t RealServerApp::total_frames_thinned() const {
   std::uint64_t total = finished_frames_thinned_;
   for (const auto& [_, ctx] : sessions_) {
     if (ctx->sender) total += ctx->sender->frames_thinned();
+  }
+  return total;
+}
+
+std::uint64_t RealServerApp::total_frame_packets_sent() const {
+  std::uint64_t total = finished_frame_packets_sent_;
+  for (const auto& [_, ctx] : sessions_) {
+    if (ctx->sender) total += ctx->sender->frame_packets_sent();
   }
   return total;
 }

@@ -73,6 +73,7 @@ class RealServerApp {
   // ones.
   std::uint64_t total_level_switches() const;
   std::uint64_t total_frames_thinned() const;
+  std::uint64_t total_frame_packets_sent() const;
 
   // URL for a clip on this server.
   static std::string clip_url(std::uint32_t clip_id);
@@ -116,6 +117,7 @@ class RealServerApp {
   std::uint64_t last_session_id_ = 0;
   std::uint64_t finished_level_switches_ = 0;
   std::uint64_t finished_frames_thinned_ = 0;
+  std::uint64_t finished_frame_packets_sent_ = 0;
   std::set<std::uint32_t> unavailable_;
 };
 

@@ -137,6 +137,7 @@ void StreamSender::send_frame_packets(const media::VideoFrame& frame) {
     }
     channel_.send_media(shared, bytes);
     ++packets_sent_;
+    ++frame_packets_sent_;
   }
 }
 
@@ -236,6 +237,7 @@ void StreamSender::on_repair_request(const media::RepairRequestMeta& request) {
     repair->sent_at = sim_.now();
     channel_.send_media(repair, repair->payload_bytes);
     ++repairs_sent_;
+    ++frame_packets_sent_;
   }
 }
 

@@ -86,6 +86,9 @@ class StreamSender {
   std::size_t active_level() const { return level_; }
   std::uint64_t level_switches() const { return level_switches_; }
   std::uint64_t frames_thinned() const { return frames_thinned_; }
+  // Packets carrying a video frame's fragment: every fragment of every
+  // frame sent, plus every repair.
+  std::uint64_t frame_packets_sent() const { return frame_packets_sent_; }
   std::uint64_t packets_sent() const { return packets_sent_; }
   std::uint64_t repairs_sent() const { return repairs_sent_; }
   double estimated_rtt_seconds() const { return rtt_sec_; }
@@ -129,6 +132,7 @@ class StreamSender {
   double rtt_sec_ = 0.25;        // EWMA from feedback echoes
   std::uint64_t level_switches_ = 0;
   std::uint64_t frames_thinned_ = 0;
+  std::uint64_t frame_packets_sent_ = 0;
   std::uint64_t packets_sent_ = 0;
   std::uint64_t repairs_sent_ = 0;
 

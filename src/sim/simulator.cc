@@ -174,6 +174,7 @@ void Simulator::reset() {
   next_seq_ = 1;
   executed_ = 0;
   fired_ = 0;
+  stop_requested_ = false;
 }
 
 bool Simulator::step() {
@@ -207,8 +208,9 @@ bool Simulator::step() {
 }
 
 void Simulator::run() {
-  while (step()) {
+  while (!stop_requested_ && step()) {
   }
+  stop_requested_ = false;
 }
 
 void Simulator::run_until(SimTime deadline) {
@@ -218,8 +220,13 @@ void Simulator::run_until(SimTime deadline) {
   // before the deadline admits one step() that may fire the next live event
   // even if it lies past the deadline. Byte-identical study output across
   // the kernel rewrite depends on preserving this quirk.
-  while (heap_size_ > 0 && heap_[0].at() <= deadline) {
+  while (!stop_requested_ && heap_size_ > 0 && heap_[0].at() <= deadline) {
     if (!step()) break;
+  }
+  if (stop_requested_) {
+    // The clock and the has_fired watermark stay at the stopping event.
+    stop_requested_ = false;
+    return;
   }
   now_ = deadline;
   // Every key at or before the deadline whose seq is already taken counts

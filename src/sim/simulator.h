@@ -125,11 +125,21 @@ class Simulator {
   // warm allocations differ.
   void reset();
 
-  // Runs until the queue empties.
+  // Runs until the queue empties or a stop() is requested.
   void run();
   // Runs events with time <= deadline; the clock ends at the deadline even if
-  // the queue drained earlier.
+  // the queue drained earlier. A stopped run_until leaves the clock at the
+  // stopping event's time instead.
   void run_until(SimTime deadline);
+  // Asks the running run()/run_until() to return once the firing event
+  // completes, after ns-3's Simulator::Stop. Events still pending, those at
+  // the current time included, stay pending and fire only if a later run
+  // reaches them. A stop requested outside a run (before it, or from a
+  // callback that step() fires) makes the next run()/run_until() return at
+  // once, firing nothing and leaving the clock where it is. The run that
+  // returns for a stop consumes it, so a stop never carries into a later
+  // run; reset() drops one still waiting.
+  void stop() { stop_requested_ = true; }
   // Runs at most one event; returns false when the queue is empty.
   bool step();
 
@@ -253,6 +263,7 @@ class Simulator {
   std::uint64_t next_seq_ = 1;
   std::uint64_t executed_ = 0;
   std::size_t live_ = 0;
+  bool stop_requested_ = false;
   // has_fired's watermark: the key of the last fired event, or run_until's
   // deadline key; 0 (before every key) after construction and reset.
   unsigned __int128 fired_ = 0;

@@ -206,11 +206,29 @@ TraceRecord RealTracer::run_session(
     sampler->start();
   }
 
+  // The record is frozen once the player finishes: finish() stops every
+  // player timer and fixes the playout result, and every writer of the
+  // stats and the availability flag returns early after it. So the play
+  // ends there; what follows (teardown, server lingers, cross traffic)
+  // could move only the observational counters. play_horizon is a cap.
+  player.set_on_finished([&sim] { sim.stop(); });
   player.start();
   sim.run_until(config_.play_horizon);
 
   rec.available = !player.clip_unavailable();
   rec.stats = player.stats();
+  // Frame conservation: what the player played or dropped it received, and
+  // what it received the server sent. The sent side counts frame packets
+  // (fragments and repairs), since a late fragment or a repair can start a
+  // completed or discarded frame again at the client.
+  RV_DCHECK(rec.stats.frames_played + rec.stats.frames_dropped <=
+                player.frames_received() &&
+            static_cast<std::uint64_t>(player.frames_received()) <=
+                server.total_frame_packets_sent())
+      << "frames played " << rec.stats.frames_played << " + dropped "
+      << rec.stats.frames_dropped << ", received "
+      << player.frames_received() << ", frame packets sent "
+      << server.total_frame_packets_sent();
   if (config_.telemetry.enabled) {
     rec.series.enabled = true;
     rec.series.interval = config_.telemetry.interval;

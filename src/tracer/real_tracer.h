@@ -24,7 +24,9 @@ namespace rv::tracer {
 
 struct TracerConfig {
   SimTime watch_duration = sec(60);   // RealTracer's per-clip play window
-  SimTime play_horizon = sec(220);    // hard cap per simulated session
+  // A play's simulation ends when its player finishes (at the latest at
+  // the player's session timeout); this only caps it.
+  SimTime play_horizon = sec(220);
   // Probability a play uses TCP straight away (user/ISP auto-config state),
   // on top of firewalled-UDP fallbacks. Calibrates the Fig 16 protocol mix.
   double direct_tcp_probability = 0.22;

@@ -511,5 +511,116 @@ TEST(ReservedEvents, ArmingAPassedOrUnreservedKeyThrows) {
   EXPECT_EQ(sim.pending_events(), 0u);
 }
 
+// stop(): a callback ends the running run()/run_until() once it returns.
+// Later events, and events at the same time scheduled after it, stay
+// pending and fire in the next run exactly where they would have.
+TEST(Stop, ReturnsAfterTheFiringEventAndLeavesTheRestPending) {
+  Simulator sim;
+  std::vector<int> fired;
+  sim.schedule_at(5, [&] { fired.push_back(1); });
+  sim.schedule_at(10, [&] {
+    fired.push_back(2);
+    sim.stop();
+    // Scheduled by the stopping event itself: pending, not fired.
+    sim.schedule_at(10, [&] { fired.push_back(4); });
+  });
+  sim.schedule_at(10, [&] { fired.push_back(3); });  // co-timed, later seq
+  sim.schedule_at(20, [&] { fired.push_back(5); });
+  sim.run_until(100);
+  EXPECT_EQ(fired, (std::vector<int>{1, 2}));
+  // The clock stays at the stopping event; the deadline is not reached.
+  EXPECT_EQ(sim.now(), 10);
+  EXPECT_EQ(sim.pending_events(), 3u);
+  EXPECT_EQ(sim.events_executed(), 2u);
+
+  // The stop does not carry over: the next run_until resumes in {time, seq}
+  // order and runs to its deadline.
+  sim.run_until(100);
+  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(sim.now(), 100);
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+TEST(Stop, RunHonoursIt) {
+  Simulator sim;
+  std::vector<int> fired;
+  for (int i = 1; i <= 4; ++i) {
+    sim.schedule_at(i, [&fired, &sim, i] {
+      fired.push_back(i);
+      if (i == 2) sim.stop();
+    });
+  }
+  sim.run();
+  EXPECT_EQ(fired, (std::vector<int>{1, 2}));
+  EXPECT_EQ(sim.now(), 2);
+  EXPECT_EQ(sim.pending_events(), 2u);
+  sim.run();
+  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3, 4}));
+}
+
+// A stop requested before a run makes that run return at once: nothing
+// fires and the clock does not move, not even to run_until's deadline. That
+// run consumes the stop; reset() drops one still waiting.
+TEST(Stop, ARequestBeforeARunEndsItAtOnceAndResetDropsIt) {
+  Simulator sim;
+  int fired = 0;
+  sim.schedule_at(5, [&] { ++fired; });
+  sim.run_until(2);
+  sim.stop();
+  sim.run_until(50);
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(sim.now(), 2);
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.stop();
+  sim.run();
+  EXPECT_EQ(fired, 0);
+  // Consumed: the next run goes ahead.
+  sim.run_until(50);
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sim.now(), 50);
+
+  // A stop from a callback that step() fires outside any run also waits
+  // for the next run.
+  sim.schedule_at(60, [&] {
+    ++fired;
+    sim.stop();
+  });
+  sim.schedule_at(61, [&] { ++fired; });
+  EXPECT_TRUE(sim.step());
+  sim.run();
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(sim.now(), 60);
+
+  // reset drops a waiting stop along with the pending events.
+  sim.stop();
+  sim.reset();
+  EXPECT_EQ(sim.pending_events(), 0u);
+  sim.schedule_at(1, [&] { ++fired; });
+  sim.schedule_at(2, [&] { ++fired; });
+  sim.run_until(10);
+  EXPECT_EQ(fired, 4);
+  EXPECT_EQ(sim.now(), 10);
+}
+
+// After a stopped run_until the has_fired watermark is the stopping event's
+// key, not the deadline's: keys after it are still ahead of the kernel.
+TEST(Stop, AStoppedRunUntilLeavesTheWatermarkAtTheStoppingEvent) {
+  Simulator sim;
+  sim.schedule_at(7, [&] { sim.stop(); });
+  const std::uint64_t later = sim.reserve_seq();
+  sim.run_until(50);
+  EXPECT_EQ(sim.now(), 7);
+  EXPECT_TRUE(sim.has_fired(7, 1));
+  EXPECT_FALSE(sim.has_fired(7, later));
+  EXPECT_FALSE(sim.has_fired(30, later));
+  // So a key reserved before the stop can still be armed inside the
+  // deadline the stopped run never reached.
+  bool armed_fired = false;
+  sim.schedule_reserved(30, later, [&] { armed_fired = true; });
+  sim.run_until(50);
+  EXPECT_TRUE(armed_fired);
+  EXPECT_EQ(sim.now(), 50);
+}
+
 }  // namespace
 }  // namespace rv::sim

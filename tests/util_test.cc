@@ -4,11 +4,14 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "mutation.h"
 #include "util/bytes.h"
 #include "util/check.h"
 #include "util/rng.h"
@@ -341,6 +344,87 @@ TEST(Args, DoubleDashEndsFlagParsing) {
   ASSERT_EQ(args.positional().size(), 1u);
   EXPECT_EQ(args.positional()[0], "--not-a-flag");
   EXPECT_TRUE(args.errors().empty());
+}
+
+// What a tool takes from its command line: the flags it reads and the
+// positionals. A tool rejects a command line that names a flag outside its
+// set or gives a malformed number (std::nullopt here). The numbers are
+// functions of the flag strings, so comparing those compares them too.
+struct ToolArgs {
+  std::string program;
+  std::map<std::string, std::string> flags;
+  std::vector<std::string> positional;
+  bool operator==(const ToolArgs&) const = default;
+};
+
+std::optional<ToolArgs> parse_as_tool(const std::vector<std::string>& tokens) {
+  std::vector<const char*> argv;
+  for (const auto& t : tokens) argv.push_back(t.c_str());
+  const util::Args args(static_cast<int>(argv.size()), argv.data(),
+                        {"faults", "telemetry"});
+  if (!args.unknown_flags({"scale", "seed", "threads", "out"}).empty()) {
+    return std::nullopt;
+  }
+  ToolArgs out;
+  out.program = args.program();
+  for (const char* key :
+       {"faults", "telemetry", "scale", "seed", "threads", "out"}) {
+    if (const auto v = args.get(key)) out.flags[key] = *v;
+  }
+  out.positional = args.positional();
+  args.get_double("scale", 1.0);
+  args.get_int("seed", 2001);
+  args.get_int("threads", 0);
+  if (!args.errors().empty()) return std::nullopt;
+  return out;
+}
+
+// The canonical command line of parsed arguments: every flag as
+// --key=value, then "--" and the positionals.
+std::vector<std::string> canonical(const ToolArgs& parsed) {
+  std::vector<std::string> tokens{parsed.program};
+  for (const auto& [key, value] : parsed.flags) {
+    tokens.push_back("--" + key + "=" + value);
+  }
+  tokens.push_back("--");
+  tokens.insert(tokens.end(), parsed.positional.begin(),
+                parsed.positional.end());
+  return tokens;
+}
+
+TEST(ArgsMutation, RejectsOrRoundTrips) {
+  // A mutant is a command line with one token per line. Every mutant must be
+  // rejected, or parse to arguments whose canonical command line parses
+  // back to the same arguments and is a fixed point. Args itself must never
+  // throw, whatever the tokens hold (embedded NULs end a token, as in a
+  // real argv).
+  const std::string valid =
+      "realdata\n--faults\nsummary\n--scale\n0.25\n--seed=7\n--threads\n"
+      "4\n--out\nk=v\n--telemetry\n--\n--trace-play\nfig";
+  const auto split_lines = [](const std::string& text) {
+    std::vector<std::string> tokens(1);
+    for (const char c : text) {
+      if (c == '\n') {
+        tokens.emplace_back();
+      } else {
+        tokens.back() += c;
+      }
+    }
+    return tokens;
+  };
+  ASSERT_TRUE(parse_as_tool(split_lines(valid)).has_value());
+  mutation::run_mutants(valid, 3000, 503, [&](const std::string& mutant) {
+    const auto parsed = parse_as_tool(split_lines(mutant));
+    if (!parsed) return false;
+    const auto tokens = canonical(*parsed);
+    const auto back = parse_as_tool(tokens);
+    EXPECT_TRUE(back.has_value()) << mutant;
+    if (back) {
+      EXPECT_EQ(*back, *parsed) << mutant;
+      EXPECT_EQ(canonical(*back), tokens) << mutant;
+    }
+    return true;
+  });
 }
 
 TEST(SmallVec, StaysInlineUpToCapacity) {
