@@ -15,12 +15,31 @@ CrossTrafficSource::CrossTrafficSource(Network& network, NodeId src,
       src_(src),
       dst_(dst),
       config_(config),
-      rng_(std::move(rng)) {
+      rng_(std::move(rng)),
+      timer_(network.simulator().add_timer(
+          [](void* self) {
+            auto* source = static_cast<CrossTrafficSource*>(self);
+            if (source->bursting_) {
+              source->emit_packet();
+            } else {
+              source->begin_burst();
+            }
+          },
+          this)) {
   RV_CHECK_GT(config.packet_bytes, 0);
   shape_.src = src;
   shape_.dst = dst;
   shape_.proto = Protocol::kUdp;
   shape_.size_bytes = config.packet_bytes;
+}
+
+CrossTrafficSource::~CrossTrafficSource() {
+  network_.simulator().remove_timer(timer_);
+}
+
+void CrossTrafficSource::arm_in(SimTime delay) {
+  auto& sim = network_.simulator();
+  sim.arm_timer(timer_, sim.now() + delay, sim.reserve_seq());
 }
 
 void CrossTrafficSource::start() {
@@ -37,15 +56,15 @@ void CrossTrafficSource::start() {
   RV_CHECK_EQ(joining, 1u)
       << "cross traffic needs exactly one link between nodes " << src_
       << " and " << dst_;
-  auto& sim = network_.simulator();
   // Start at a random point in the idle period so sources don't synchronise.
   const auto first_delay = static_cast<SimTime>(
       rng_.exponential(to_seconds(config_.mean_off) * 1e6));
-  sim.schedule_in(first_delay, [this] { begin_burst(); });
+  arm_in(first_delay);
 }
 
 void CrossTrafficSource::begin_burst() {
   auto& sim = network_.simulator();
+  bursting_ = true;
   SimTime on_usec = 0;
   const double mean_usec = to_seconds(config_.mean_on) * 1e6;
   if (config_.pareto_on_shape > 1.0) {
@@ -67,7 +86,8 @@ void CrossTrafficSource::emit_packet() {
   if (sim.now() >= burst_end_) {
     const auto off_usec = static_cast<SimTime>(
         rng_.exponential(to_seconds(config_.mean_off) * 1e6));
-    sim.schedule_in(off_usec, [this] { begin_burst(); });
+    bursting_ = false;
+    arm_in(off_usec);
     return;
   }
   out_->send_background(shape_);
@@ -79,7 +99,7 @@ void CrossTrafficSource::emit_packet() {
       transmission_time(config_.packet_bytes, config_.burst_rate);
   const auto jitter = static_cast<SimTime>(
       rng_.uniform(0.0, 0.2 * static_cast<double>(gap)));
-  sim.schedule_in(gap + jitter, [this] { emit_packet(); });
+  arm_in(gap + jitter);
 }
 
 }  // namespace rv::net

@@ -9,7 +9,10 @@
 // The packets are background load on the src -> dst link direction
 // (LinkDirection::send_background): they queue, serialise, count in
 // LinkStats and can be dropped exactly like packets, but nothing is ever
-// delivered to dst, whose sink would only have discarded them.
+// delivered to dst, whose sink would only have discarded them. The source
+// drives itself with one timer on the simulator's timer lane, armed at the
+// key a scheduled event would have taken, so its arrivals take no heap
+// entry, slot or closure.
 #pragma once
 
 #include <cstdint>
@@ -37,6 +40,11 @@ class CrossTrafficSource {
   // Traffic flows src -> dst, loading the one link between them.
   CrossTrafficSource(Network& network, NodeId src, NodeId dst,
                      const CrossTrafficConfig& config, util::Rng rng);
+  ~CrossTrafficSource();
+  // Registered with the simulator's timer lane under its address; the
+  // simulator must outlive it.
+  CrossTrafficSource(const CrossTrafficSource&) = delete;
+  CrossTrafficSource& operator=(const CrossTrafficSource&) = delete;
 
   // Starts the on/off process; runs until the simulation ends. src and dst
   // must be joined by exactly one link (RV_CHECK).
@@ -47,6 +55,9 @@ class CrossTrafficSource {
  private:
   void begin_burst();
   void emit_packet();
+  // Arms the source's lane timer `delay` from now, taking the seq a
+  // schedule_in call would take here.
+  void arm_in(SimTime delay);
 
   Network& network_;
   NodeId src_;
@@ -55,6 +66,10 @@ class CrossTrafficSource {
   Packet shape_;                  // what every emitted packet looks like
   CrossTrafficConfig config_;
   util::Rng rng_;
+  // The source's one pending event, its next arrival or burst start, is a
+  // lane timer; bursting_ says which of the two it fires.
+  sim::TimerId timer_;
+  bool bursting_ = false;
   SimTime burst_end_ = 0;
   std::uint64_t packets_emitted_ = 0;
 };

@@ -13,7 +13,12 @@ LinkDirection::LinkDirection(sim::Simulator& sim, BitsPerSec rate,
     : sim_(sim),
       rate_(rate),
       prop_delay_(prop_delay),
-      queue_capacity_bytes_(queue.capacity_bytes) {
+      queue_capacity_bytes_(queue.capacity_bytes),
+      done_timer_(sim.add_timer(
+          [](void* self) {
+            static_cast<LinkDirection*>(self)->transmission_done();
+          },
+          this)) {
   RV_CHECK_GT(rate, 0.0);
   RV_CHECK_GE(prop_delay, 0);
   RV_CHECK_GT(queue.capacity_bytes, 0);
@@ -21,6 +26,8 @@ LinkDirection::LinkDirection(sim::Simulator& sim, BitsPerSec rate,
     red_ = std::make_unique<RedState>(queue, queue.capacity_bytes);
   }
 }
+
+LinkDirection::~LinkDirection() { sim_.remove_timer(done_timer_); }
 
 void LinkDirection::send(std::unique_ptr<Packet> packet) {
   if (admit(*packet)) {
@@ -95,7 +102,7 @@ void LinkDirection::start_transmission(Entry entry) {
 void LinkDirection::arm_done() {
   RV_DCHECK(!done_armed_);
   done_armed_ = true;
-  sim_.schedule_reserved(done_at_, done_seq_, [this] { transmission_done(); });
+  sim_.arm_timer(done_timer_, done_at_, done_seq_);
 }
 
 void LinkDirection::transmission_done() {

@@ -46,6 +46,11 @@ class LinkDirection {
  public:
   LinkDirection(sim::Simulator& sim, BitsPerSec rate, SimTime prop_delay,
                 const QueueConfig& queue);
+  ~LinkDirection();
+  // Registered with the simulator's timer lane under its address; the
+  // simulator must outlive it.
+  LinkDirection(const LinkDirection&) = delete;
+  LinkDirection& operator=(const LinkDirection&) = delete;
 
   // Accepts a packet for transmission; drops it if the queue is full. The
   // packet moves through queueing and delivery without copying.
@@ -90,7 +95,7 @@ class LinkDirection {
   bool admit(const Packet& packet);
   void enqueue(Entry entry);
   void start_transmission(Entry entry);
-  // Arms the transmit-done event at its reserved key; see done_seq_.
+  // Arms the transmit-done lane timer at its reserved key; see done_seq_.
   void arm_done();
   void transmission_done();
   // The transmitter is busy until the current transmission's done key has
@@ -107,10 +112,12 @@ class LinkDirection {
   std::deque<Entry> queue_;
   std::int64_t queued_bytes_ = 0;
   // The current transmission's transmit-done key, reserved when it starts.
-  // The event is armed only once an entry waits behind the transmitter:
-  // with nothing queued, its only effect would be to free the transmitter,
-  // which busy() reads off the key instead. Since the seq is taken where a
-  // scheduled done would have taken it, no other event's key moves.
+  // The done is a lane timer (the direction's only event of its own), armed
+  // only once an entry waits behind the transmitter: with nothing queued,
+  // its only effect would be to free the transmitter, which busy() reads
+  // off the key instead. Since the seq is taken where a scheduled done
+  // would have taken it, no other event's key moves.
+  sim::TimerId done_timer_;
   SimTime done_at_ = 0;
   std::uint64_t done_seq_ = 0;
   bool done_armed_ = false;

@@ -86,32 +86,32 @@ void StreamSender::pump() {
   // The live edge: media that exists yet (plus a small encoder delay).
   const SimTime live_edge = now - start_wall_ - msec(200);
 
-  while (next_frame_ < schedule().size()) {
+  // The schedule generates frames as this loop first reads them.
+  const media::VideoFrame* frame = nullptr;
+  while ((frame = schedule().find(next_frame_)) != nullptr) {
     if (channel_.backlog_bytes() > backlog_cap) break;
-    const media::VideoFrame& frame = schedule().frame(next_frame_);
-    if (config_.live && frame.pts > live_edge) break;
-    if (static_cast<double>(frame.bytes) > send_credit_bytes_) break;
-    send_audio_up_to(frame.pts);
-    if (should_thin(frame)) {
+    if (config_.live && frame->pts > live_edge) break;
+    if (static_cast<double>(frame->bytes) > send_credit_bytes_) break;
+    send_audio_up_to(frame->pts);
+    if (should_thin(*frame)) {
       ++frames_thinned_;
     } else {
-      send_frame_packets(frame);
+      send_frame_packets(*frame);
     }
-    send_credit_bytes_ -= static_cast<double>(frame.bytes);
-    media_pos_ = frame.pts;
+    send_credit_bytes_ -= static_cast<double>(frame->bytes);
+    media_pos_ = frame->pts;
     ++next_frame_;
   }
 
-  if (next_frame_ >= schedule().size()) {
+  if (frame == nullptr) {
     send_audio_up_to(clip_.duration());
     send_end_of_stream();
     return;
   }
 
   // Sleep until there is credit for the next frame (or a backlog re-check).
-  const auto& frame = schedule().frame(next_frame_);
   const double deficit =
-      static_cast<double>(frame.bytes) - send_credit_bytes_;
+      static_cast<double>(frame->bytes) - send_credit_bytes_;
   SimTime delay = msec(20);
   if (deficit > 0 && channel_.backlog_bytes() <= backlog_cap) {
     delay = std::max<SimTime>(

@@ -113,8 +113,9 @@ class StreamSender {
   util::Rng rng_;
 
   std::size_t level_;
-  // One schedule per level, generated on the level's first use: a schedule
-  // depends only on (clip, level), so switching back reuses it.
+  // One schedule per level, made on the level's first use: a schedule
+  // depends only on (clip, level), so switching back reuses it. Each
+  // generates its frames only as far as the sender reads.
   std::vector<std::optional<media::FrameSchedule>> schedules_;
   std::size_t next_frame_ = 0;
   SimTime media_pos_ = 0;        // media time up to which we have sent

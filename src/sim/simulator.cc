@@ -175,14 +175,52 @@ void Simulator::reset() {
   executed_ = 0;
   fired_ = 0;
   stop_requested_ = false;
+  // Timer owners are per-play objects: drop every registration, and make
+  // the ids handed out so far stale, so an owner that outlives the reset
+  // cannot remove a later owner's timer.
+  lane_.clear();
+  lane_timers_.clear();
+  ++lane_epoch_;
 }
 
-bool Simulator::step() {
+TimerId Simulator::add_timer(TimerFn fire, void* owner) {
+  RV_CHECK(fire != nullptr);
+  std::size_t i = 0;
+  while (i < lane_timers_.size() && lane_timers_[i].fire != nullptr) ++i;
+  if (i == lane_timers_.size()) lane_timers_.emplace_back();
+  lane_timers_[i] = LaneTimer{fire, owner};
+  return (static_cast<TimerId>(lane_epoch_) << 32) | i;
+}
+
+void Simulator::remove_timer(TimerId id) {
+  if (id >> 32 != lane_epoch_) return;
+  const auto i = static_cast<std::uint32_t>(id);
+  RV_CHECK(i < lane_timers_.size() && lane_timers_[i].fire != nullptr)
+      << "timer " << id << " is not registered";
+  if (lane_timers_[i].armed) {
+    std::erase_if(lane_, [i](const ArmedTimer& a) { return a.timer == i; });
+  }
+  lane_timers_[i] = LaneTimer{};
+}
+
+bool Simulator::fire_next(unsigned __int128 limit) {
+  // Cancellation tombstones leave the heap only when they surface, so drop
+  // them off the root before comparing it with the lane.
   while (heap_size_ > 0) {
+    const std::uint64_t root = heap_[0].seq_slot();
+    if (slot_ref(static_cast<std::uint32_t>(root & kSlotMask)).seq_slot ==
+        root) {
+      break;
+    }
+    heap_pop_root();
+  }
+  const unsigned __int128 heap_key = heap_size_ > 0 ? heap_[0].key : kNoKey;
+  const unsigned __int128 lane_key = lane_.empty() ? kNoKey : lane_.back().key;
+  if (heap_key < lane_key) {
+    if (heap_key > limit) return false;
     const HeapEntry e = heap_pop_root();
     const auto slot = static_cast<std::uint32_t>(e.seq_slot() & kSlotMask);
     Slot& s = slot_ref(slot);
-    if (s.seq_slot != e.seq_slot()) continue;  // cancellation tombstone
     // Retire the id first — a self-cancel from inside the callback is stale,
     // matching the original pop-then-fire kernel — then fire in place:
     // chunked slots never move, even when the callback schedules new events
@@ -204,24 +242,30 @@ bool Simulator::step() {
     }
     return true;
   }
-  return false;
+  // Keys are unique, so only an empty heap and lane tie here (at kNoKey).
+  if (lane_key > limit) return false;
+  const std::uint32_t i = lane_.back().timer;
+  lane_.pop_back();
+  lane_timers_[i].armed = false;
+  ++executed_;
+  now_ = static_cast<SimTime>(lane_key >> 64);
+  fired_ = lane_key;
+  // Copied out: the callback may register timers and grow the registrations.
+  const LaneTimer timer = lane_timers_[i];
+  timer.fire(timer.owner);
+  return true;
 }
 
 void Simulator::run() {
-  while (!stop_requested_ && step()) {
+  while (!stop_requested_ && fire_next(kLastKey)) {
   }
   stop_requested_ = false;
 }
 
 void Simulator::run_until(SimTime deadline) {
   RV_CHECK_GE(deadline, now_);
-  // Deliberately checks the raw heap root (tombstones included) before each
-  // step, matching the seed kernel's loop exactly: a cancelled entry at or
-  // before the deadline admits one step() that may fire the next live event
-  // even if it lies past the deadline. Byte-identical study output across
-  // the kernel rewrite depends on preserving this quirk.
-  while (!stop_requested_ && heap_size_ > 0 && heap_[0].at() <= deadline) {
-    if (!step()) break;
+  const unsigned __int128 limit = key_of(deadline, ~std::uint64_t{0});
+  while (!stop_requested_ && fire_next(limit)) {
   }
   if (stop_requested_) {
     // The clock and the has_fired watermark stay at the stopping event.
@@ -230,9 +274,7 @@ void Simulator::run_until(SimTime deadline) {
   }
   now_ = deadline;
   // Every key at or before the deadline whose seq is already taken counts
-  // as passed. After the quirk's past-deadline fire this lowers the
-  // watermark along with the clock, so a key reserved at the rewound clock
-  // is not mistaken for a passed one.
+  // as passed.
   fired_ = key_of(deadline, (next_seq_ << kSlotBits) - 1);
 }
 

@@ -7,11 +7,16 @@
 //
 // The pending queue is a 4-ary min-heap of 16-byte {time, seq|slot} keys, so
 // the fire order is {time, seq} by construction (differential-tested against
-// the seed kernel in tests/sim_kernel_test.cc). A study play keeps about
-// 20 events pending, so the heap is two or three levels deep. (A
-// hierarchical timer wheel once sat in front of the heap. Nearly every
-// study event landed above its first level and was pushed twice, so it cost
-// the study more than it saved and was removed; see docs/BENCHMARKS.md.)
+// the seed kernel in tests/sim_kernel_test.cc). Beside it sits a timer lane:
+// objects that own at most one pending event (each link direction's
+// transmit-done, each cross-traffic source's next arrival) keep that event
+// as a bare key in one small sorted array, whose minimum step() merges with
+// the heap root by the same {time, seq} compare. Background arrivals and
+// transmit-dones are three quarters of a study play's events, so the heap
+// handles only the rest. (A hierarchical timer wheel once sat in front of
+// the heap. Nearly every study event landed above its first level and was
+// pushed twice, so it cost the study more than it saved and was removed;
+// see docs/BENCHMARKS.md.)
 //
 // Layout: callbacks live in pooled slots (recycled via a free list) and the
 // heap holds only the 16-byte keys, so sifting never moves a closure and
@@ -40,6 +45,8 @@ namespace rv::sim {
 // no valid id is ever 0.
 using EventId = std::uint64_t;
 inline constexpr EventId kInvalidEventId = 0;
+// A lane timer: {reset epoch (high 32), registration index (low 32)}.
+using TimerId = std::uint64_t;
 
 class Simulator {
  public:
@@ -80,35 +87,65 @@ class Simulator {
     return schedule_at(now_ + delay, std::forward<F>(f));
   }
 
-  // Reserved-seq events: a caller that learns only later whether it needs
-  // an event takes the event's sequence number now and arms it later.
-  // reserve_seq() takes the sequence number the next schedule call would
-  // have taken; schedule_reserved(at, seq, fn) arms an event at exactly that
-  // {at, seq} key, so it fires where an event scheduled at reservation time
-  // would have fired, and no other event's key moves. A key that is never
-  // armed costs nothing. has_fired(at, seq) says whether the kernel has run
-  // past the key: the last fired event is at or after it in {time, seq}
-  // order, or the last run_until deadline covers it (every key at or before
-  // the deadline whose seq was already taken). Arming a key that has
-  // already been passed trips an RV_CHECK.
+  // Reserved seqs: a caller that learns only later whether it needs an
+  // event takes the event's sequence number now and arms it later, on a
+  // lane timer (below). reserve_seq() takes the sequence number the next
+  // schedule call would have taken, so an event armed at that {at, seq} key
+  // fires where an event scheduled at reservation time would have fired,
+  // and no other event's key moves. A key that is never armed costs
+  // nothing. has_fired(at, seq) says whether the kernel has run past the
+  // key: the last fired event is at or after it in {time, seq} order, or
+  // the last run_until deadline covers it (every key at or before the
+  // deadline whose seq was already taken).
   std::uint64_t reserve_seq() {
     RV_CHECK_LT(next_seq_, kSeqLimit) << "sequence space exhausted";
     return next_seq_++;
   }
-  template <typename F, typename D = std::decay_t<F>,
-            typename = std::enable_if_t<std::is_invocable_r_v<void, D&>>>
-  EventId schedule_reserved(SimTime at, std::uint64_t seq, F&& f) {
-    RV_CHECK(seq != 0 && seq < next_seq_) << "sequence " << seq
-                                          << " was never reserved";
-    RV_CHECK(at >= now_ && !has_fired(at, seq))
-        << "reserved key is behind the clock";
-    const std::uint32_t slot = acquire_slot();
-    Slot& s = slot_ref(slot);
-    s.fn = std::forward<F>(f);
-    return arm_slot(at, seq, slot, s);
-  }
   bool has_fired(SimTime at, std::uint64_t seq) const {
     return key_of(at, seq << kSlotBits) <= fired_;
+  }
+
+  // Timer lane. An object that owns at most one pending event at a time (a
+  // link direction's transmit-done, a cross-traffic source's next arrival)
+  // registers once with add_timer and then arms its timer at a key whose
+  // seq it took with reserve_seq(). An armed timer is one key in a small
+  // contiguous array beside the heap, kept latest first, with no slot and
+  // no closure; step() fires whichever is earlier, the heap's live root or
+  // the lane's last (earliest) key.
+  // Seqs are unique across both, so events fire in the order an all-heap
+  // kernel gives them. A lane fire counts in events_executed() and sets the
+  // clock and the has_fired watermark as a heap fire does; an armed timer
+  // counts in pending_events(). reset() drops every registration; an owner
+  // that dies before the next reset removes its own timer.
+  using TimerFn = void (*)(void* owner);
+  TimerId add_timer(TimerFn fire, void* owner);
+  // Drops the timer, armed or not. A no-op for ids from before a reset().
+  void remove_timer(TimerId id);
+  // Arms the (unarmed) timer at {at, seq}; fire(owner) runs when the kernel
+  // reaches that key, after which the timer is unarmed again. Arming an
+  // unreserved seq, or a key the kernel has already passed, trips an
+  // RV_CHECK.
+  void arm_timer(TimerId id, SimTime at, std::uint64_t seq) {
+    const auto i = static_cast<std::uint32_t>(id);
+    RV_CHECK(id >> 32 == lane_epoch_ && i < lane_timers_.size() &&
+             lane_timers_[i].fire != nullptr)
+        << "timer " << id << " is not registered";
+    RV_CHECK(!lane_timers_[i].armed) << "timer " << id << " is armed";
+    RV_CHECK(seq != 0 && seq < next_seq_)
+        << "sequence " << seq << " was never reserved";
+    RV_CHECK(at >= now_ && !has_fired(at, seq))
+        << "timer key is behind the clock";
+    lane_timers_[i].armed = true;
+    // Insertion into the latest-first order: a study play has a handful of
+    // timers armed, so this moves a few entries at most.
+    const unsigned __int128 key = key_of(at, seq << kSlotBits);
+    lane_.emplace_back();
+    std::size_t pos = lane_.size() - 1;
+    while (pos > 0 && lane_[pos - 1].key < key) {
+      lane_[pos] = lane_[pos - 1];
+      --pos;
+    }
+    lane_[pos] = ArmedTimer{key, i};
   }
 
   // Cancels a pending event; cancelling an already-fired or invalid id is a
@@ -125,7 +162,7 @@ class Simulator {
   // warm allocations differ.
   void reset();
 
-  // Runs until the queue empties or a stop() is requested.
+  // Runs until no event is pending or a stop() is requested.
   void run();
   // Runs events with time <= deadline; the clock ends at the deadline even if
   // the queue drained earlier. A stopped run_until leaves the clock at the
@@ -140,11 +177,12 @@ class Simulator {
   // returns for a stop consumes it, so a stop never carries into a later
   // run; reset() drops one still waiting.
   void stop() { stop_requested_ = true; }
-  // Runs at most one event; returns false when the queue is empty.
-  bool step();
+  // Runs at most one event; returns false when none is pending.
+  bool step() { return fire_next(kLastKey); }
 
-  // Live (scheduled, not yet fired or cancelled) events.
-  std::size_t pending_events() const { return live_; }
+  // Live (scheduled, not yet fired or cancelled) events, armed lane timers
+  // included.
+  std::size_t pending_events() const { return live_ + lane_.size(); }
   // Callbacks fired since construction or the last reset(). Cheap run-size
   // telemetry for the observability layer (per-play sim_events counter).
   std::uint64_t events_executed() const { return executed_; }
@@ -189,6 +227,12 @@ class Simulator {
   static constexpr std::uint64_t kSeqLimit = std::uint64_t{1}
                                              << (64 - kSlotBits);
 
+  // Above every real key (times are non-negative, so a real key's top bit
+  // is clear): an empty heap or lane.
+  static constexpr unsigned __int128 kNoKey = ~static_cast<unsigned __int128>(0);
+  // The greatest real key: no limit for fire_next.
+  static constexpr unsigned __int128 kLastKey = kNoKey >> 1;
+
   static EventId make_id(std::uint32_t gen, std::uint32_t slot) {
     return (static_cast<EventId>(gen) << 32) | slot;
   }
@@ -214,6 +258,10 @@ class Simulator {
   }
 
   static constexpr std::uint32_t kNilSlot = 0xffffffffu;  // empty hot_slot_
+
+  // Fires the next event, heap or lane, if its key is at or before
+  // `limit`; false when there is none.
+  bool fire_next(unsigned __int128 limit);
 
   void heap_push(HeapEntry entry);
   HeapEntry heap_pop_root();
@@ -280,6 +328,22 @@ class Simulator {
   std::size_t slot_count_ = 0;  // constructed slots (pool high-water mark)
   std::vector<std::unique_ptr<unsigned char[]>> chunks_;
   std::vector<std::uint32_t> free_slots_;
+
+  // The timer lane: the armed timers' keys, latest first, so the next to
+  // fire is the last entry; and the registrations by timer index
+  // (fire == nullptr: a free entry).
+  struct ArmedTimer {
+    unsigned __int128 key;
+    std::uint32_t timer;
+  };
+  struct LaneTimer {
+    TimerFn fire = nullptr;
+    void* owner = nullptr;
+    bool armed = false;
+  };
+  std::vector<ArmedTimer> lane_;
+  std::vector<LaneTimer> lane_timers_;
+  std::uint32_t lane_epoch_ = 0;  // bumped by reset()
 };
 
 }  // namespace rv::sim

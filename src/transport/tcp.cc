@@ -479,6 +479,15 @@ void TcpConnection::handle_ack(const net::Packet& packet) {
                            outgoing_chunks_.upper_bound(ack));
     snd_una_ = ack;
     dup_acks_ = 0;
+    // Conservation: the peer acks only bytes that were sent. The stream
+    // starts at sequence 0, so bytes_acked is snd_una_, and the highest
+    // sequence sent is snd_nxt_ or, after an RTO rewound snd_nxt_, what it
+    // had reached (karn_ambiguous_until_).
+    RV_DCHECK(stats_.bytes_acked == snd_una_ &&
+              snd_una_ <= std::max(snd_nxt_, karn_ambiguous_until_))
+        << "acked " << stats_.bytes_acked << " (snd_una " << snd_una_
+        << ") beyond the highest sequence sent "
+        << std::max(snd_nxt_, karn_ambiguous_until_);
 
     // Every snd_una advance reaches the backend (model-based CC accounts
     // delivery even during recovery); window growth while recovering is the
@@ -622,6 +631,14 @@ void TcpConnection::handle_data(const net::Packet& packet) {
     pending_chunks_.erase(it);
     if (on_chunk_) on_chunk_(std::move(meta), chunk_bytes);
   }
+  // In order: the application has every byte up to the last chunk's end
+  // and nothing past rcv_nxt_, the end of the contiguous data received, and
+  // no segment held out of order starts at or before rcv_nxt_.
+  RV_DCHECK(stats_.bytes_delivered == last_chunk_delivered_end_ &&
+            last_chunk_delivered_end_ <= rcv_nxt_ &&
+            (out_of_order_.empty() || out_of_order_.begin()->first > rcv_nxt_))
+      << "delivered " << stats_.bytes_delivered << " to offset "
+      << last_chunk_delivered_end_ << " with contiguous data to " << rcv_nxt_;
 
   send_pure_ack();
 

@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "media/catalog.h"
 #include "media/clip.h"
 #include "media/codec.h"
 #include "media/frame_schedule.h"
 #include "media/packetizer.h"
+#include "util/rng.h"
+#include "world/servers.h"
 
 namespace rv::media {
 namespace {
@@ -160,6 +166,112 @@ TEST(FrameSchedule, DeterministicPerClipAndLevel) {
   const auto b = FrameSchedule::generate(clip, 1);
   ASSERT_EQ(a.size(), b.size());
   EXPECT_EQ(a.total_bytes(), b.total_bytes());
+}
+
+// FrameSchedule::generate as it was before on-demand generation: the whole
+// clip's frames in one loop. The reference the on-demand schedule must
+// match frame for frame.
+std::vector<VideoFrame> generate_whole_clip(const Clip& clip,
+                                            std::size_t level_index) {
+  constexpr double kKeyframeFactor = 3.0;
+  constexpr double kSizeSigma = 0.30;
+  const EncodingLevel& level = clip.level(level_index);
+  std::vector<VideoFrame> frames;
+  util::Rng rng(clip.seed() ^ (0xF00Du + level_index));
+  const double lognormal_mean_fix = std::exp(-kSizeSigma * kSizeSigma / 2.0);
+  const int kf_interval = std::max(level.keyframe_interval, 2);
+  const double kf_mean =
+      (static_cast<double>(kf_interval - 1) + kKeyframeFactor) /
+      static_cast<double>(kf_interval);
+  SimTime t = 0;
+  std::int32_t index = 0;
+  while (t < clip.duration()) {
+    const double action = clip.action_at(t);
+    const double fps = std::max(2.0, level.encoded_fps * action);
+    const SimTime interval = seconds_to_sim(1.0 / fps);
+    VideoFrame frame;
+    frame.index = index;
+    frame.pts = t;
+    frame.keyframe = (index % kf_interval) == 0;
+    const double base_bytes =
+        level.video_bandwidth() * to_seconds(interval) / 8.0 / kf_mean;
+    const double factor = (frame.keyframe ? kKeyframeFactor : 1.0) *
+                          rng.lognormal(0.0, kSizeSigma) * lognormal_mean_fix;
+    frame.bytes =
+        std::max<std::int32_t>(32, static_cast<std::int32_t>(
+                                       std::round(base_bytes * factor)));
+    frames.push_back(frame);
+    t += interval;
+    ++index;
+  }
+  return frames;
+}
+
+bool same_frame(const VideoFrame& a, const VideoFrame& b) {
+  return a.index == b.index && a.pts == b.pts && a.bytes == b.bytes &&
+         a.keyframe == b.keyframe;
+}
+
+// Every frame of every level of every clip in the study's catalog, read on
+// demand the way a sender reads it (in order, in runs, with first_frame_at
+// jumps at random times, as a level switch does), is the frame the whole-
+// clip generator made; and first_frame_at agrees with a search of the whole
+// clip at random times on a fresh schedule.
+TEST(FrameSchedule, OnDemandMatchesWholeClipGeneration) {
+  std::vector<SiteProfile> profiles;
+  for (const auto& site : world::server_sites()) {
+    profiles.push_back(site.profile);
+  }
+  const Catalog catalog(CatalogSpec{}, profiles);
+  ASSERT_EQ(catalog.size(), 98u);
+  util::Rng script(2001);
+  std::size_t frames_checked = 0;
+  for (const Clip& clip : catalog.clips()) {
+    for (std::size_t li = 0; li < clip.levels().size(); ++li) {
+      SCOPED_TRACE(clip.title() + " level " + std::to_string(li));
+      const auto whole = generate_whole_clip(clip, li);
+      const auto search = [&whole](SimTime t) {
+        return static_cast<std::size_t>(
+            std::lower_bound(whole.begin(), whole.end(), t,
+                             [](const VideoFrame& f, SimTime value) {
+                               return f.pts < value;
+                             }) -
+            whole.begin());
+      };
+
+      const auto sched = FrameSchedule::generate(clip, li);
+      std::size_t i = 0;
+      while (const VideoFrame* frame = sched.find(i)) {
+        ASSERT_LT(i, whole.size());
+        ASSERT_TRUE(same_frame(*frame, whole[i])) << "frame " << i;
+        ++frames_checked;
+        ++i;
+        if (script.bernoulli(0.01)) {
+          // Jump, forward or back, to the first frame at a random time.
+          const auto t = static_cast<SimTime>(
+              script.uniform(0.0, static_cast<double>(clip.duration()) + 1e6));
+          i = sched.first_frame_at(t);
+          ASSERT_EQ(i, search(t)) << "t " << t;
+        }
+      }
+      ASSERT_EQ(sched.find(whole.size()), nullptr);
+      ASSERT_EQ(sched.size(), whole.size());
+      EXPECT_THROW(sched.frame(whole.size()), std::out_of_range);
+
+      for (int k = 0; k < 3; ++k) {
+        const auto fresh = FrameSchedule::generate(clip, li);
+        const auto t = static_cast<SimTime>(
+            script.uniform(0.0, static_cast<double>(clip.duration()) * 1.1));
+        ASSERT_EQ(fresh.first_frame_at(t), search(t)) << "t " << t;
+        const auto frames = fresh.frames();
+        ASSERT_EQ(frames.size(), whole.size());
+        for (std::size_t f = 0; f < frames.size(); ++f) {
+          ASSERT_TRUE(same_frame(frames[f], whole[f])) << "frame " << f;
+        }
+      }
+    }
+  }
+  EXPECT_GT(frames_checked, 1'000'000u);
 }
 
 TEST(Packetizer, FragmentsCoverFrameExactly) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -753,6 +754,278 @@ TEST(LinkDifferential, ReservedDoneMatchesAlwaysScheduledTransmitter) {
       EXPECT_GT(ref.arrivals_before_done, 0u);
       EXPECT_GT(ref.arrivals_after_done, 0u);
       EXPECT_LT(now.events_executed, ref.events_executed);
+    }
+  }
+}
+
+// CrossTrafficSource as it was before the timer lane: the same on/off
+// process and draws, but every arrival and burst start is a heap event
+// scheduled with schedule_in. It is the reference the lane source must
+// match. It also records its arrival times, so the test can count ties.
+class HeapCrossTraffic {
+ public:
+  HeapCrossTraffic(Network& network, NodeId src, NodeId dst,
+                   const CrossTrafficConfig& config, util::Rng rng)
+      : network_(network),
+        src_(src),
+        dst_(dst),
+        config_(config),
+        rng_(std::move(rng)) {
+    shape_.src = src;
+    shape_.dst = dst;
+    shape_.proto = Protocol::kUdp;
+    shape_.size_bytes = config.packet_bytes;
+  }
+
+  void start() {
+    if (config_.burst_rate <= 0.0) return;
+    for (std::size_t i = 0; i < network_.link_count(); ++i) {
+      Link& link = network_.link(i);
+      if ((link.a() == src_ && link.b() == dst_) ||
+          (link.a() == dst_ && link.b() == src_)) {
+        out_ = &link.direction_from(src_);
+      }
+    }
+    const auto first_delay = static_cast<SimTime>(
+        rng_.exponential(to_seconds(config_.mean_off) * 1e6));
+    network_.simulator().schedule_in(first_delay, [this] { begin_burst(); });
+  }
+
+  std::uint64_t packets_emitted() const { return packets_emitted_; }
+  const std::vector<SimTime>& arrivals() const { return arrivals_; }
+  std::uint64_t done_ties() const { return done_ties_; }
+
+ private:
+  void begin_burst() {
+    auto& sim = network_.simulator();
+    SimTime on_usec = 0;
+    const double mean_usec = to_seconds(config_.mean_on) * 1e6;
+    if (config_.pareto_on_shape > 1.0) {
+      const double a = config_.pareto_on_shape;
+      const double scale = mean_usec * (a - 1.0) / a;
+      const double u = 1.0 - rng_.uniform();
+      on_usec = static_cast<SimTime>(scale * std::pow(u, -1.0 / a));
+    } else {
+      on_usec = static_cast<SimTime>(rng_.exponential(mean_usec));
+    }
+    burst_end_ = sim.now() + on_usec;
+    emit_packet();
+  }
+
+  void emit_packet() {
+    auto& sim = network_.simulator();
+    if (sim.now() >= burst_end_) {
+      const auto off_usec = static_cast<SimTime>(
+          rng_.exponential(to_seconds(config_.mean_off) * 1e6));
+      sim.schedule_in(off_usec, [this] { begin_burst(); });
+      return;
+    }
+    // An arrival exactly one serialisation after the last one ties with
+    // that packet's transmit-done when it went straight on the wire.
+    if (!arrivals_.empty() &&
+        sim.now() - arrivals_.back() ==
+            transmission_time(config_.packet_bytes, out_->rate())) {
+      ++done_ties_;
+    }
+    out_->send_background(shape_);
+    ++packets_emitted_;
+    arrivals_.push_back(sim.now());
+    const SimTime gap =
+        transmission_time(config_.packet_bytes, config_.burst_rate);
+    const auto jitter = static_cast<SimTime>(
+        rng_.uniform(0.0, 0.2 * static_cast<double>(gap)));
+    sim.schedule_in(gap + jitter, [this] { emit_packet(); });
+  }
+
+  Network& network_;
+  NodeId src_;
+  NodeId dst_;
+  LinkDirection* out_ = nullptr;
+  Packet shape_;
+  CrossTrafficConfig config_;
+  util::Rng rng_;
+  SimTime burst_end_ = 0;
+  std::uint64_t packets_emitted_ = 0;
+  std::vector<SimTime> arrivals_;
+  std::uint64_t done_ties_ = 0;
+};
+
+struct EmitterOutcome {
+  // Every foreground delivery: (time, receiving node, packet id), in order.
+  std::vector<std::tuple<SimTime, NodeId, std::uint64_t>> deliveries;
+  // What a sampler read off the loaded direction every kSamplePeriod:
+  // (time, queued bytes, packets sent, packets dropped, busy time, the
+  // link's fuller-direction fill), recorded whenever it changed.
+  std::vector<std::tuple<SimTime, std::int64_t, std::uint64_t, std::uint64_t,
+                         SimTime, double>>
+      samples;
+  std::vector<LinkStats> directions;  // a->b then b->a, for every link
+  std::vector<std::uint64_t> emitted;
+  std::uint64_t fault_draws = 0;
+  std::uint64_t jitter_draws = 0;
+  std::uint64_t events_executed = 0;
+  std::uint64_t events_pending = 0;
+  // Counted by the reference only: arrivals at a sample's microsecond, and
+  // arrivals at the microsecond of the same source's last transmit-done.
+  std::uint64_t arrival_sample_ties = 0;
+  std::uint64_t arrival_done_ties = 0;
+};
+
+constexpr SimTime kSamplePeriod = 10;
+
+// Foreground packets a -> r -> b over an r -> b bottleneck that two cross
+// sources load (one with Pareto bursts), with a third source on the
+// reverse direction and a fourth on a -> r. The fourth bursts at a -> r's
+// own rate in 20 us packets, so a quarter of its arrivals (those with no
+// jitter) land in the microsecond its previous packet's transmission ends,
+// whose done seq that arrival's send took. The loaded direction has a
+// corruption fault filter and a delay-jitter hook, each counting its
+// draws, and a sampler reads its LinkStats and queue every 10 us, tying
+// with arrivals and transmit-dones at equal microseconds. After a
+// run_until, a burst is sent from outside any event before the rest runs.
+template <typename Cross>
+EmitterOutcome run_emitters(QueuePolicy policy, std::uint64_t seed) {
+  sim::Simulator sim;
+  Network net(sim);
+  const NodeId a = net.add_node("a");
+  const NodeId r = net.add_node("r");
+  const NodeId b = net.add_node("b");
+  net.add_link(a, r, mbps(20), msec(1));
+  QueueConfig queue;
+  queue.policy = policy;
+  queue.capacity_bytes = 20'000;
+  queue.red_weight = 0.05;
+  Link& bottleneck = net.add_link(r, b, mbps(4), msec(5), queue);
+  net.compute_routes();
+  net.node(b).set_local_sink([](Packet) {});
+
+  EmitterOutcome out;
+  LinkDirection& loaded = bottleneck.direction_from(r);
+  util::Rng fault_rng(seed + 1);
+  util::Rng jitter_rng(seed + 2);
+  loaded.set_fault_filter([&](const Packet&, SimTime) {
+    ++out.fault_draws;
+    return fault_rng.bernoulli(0.02);
+  });
+  loaded.set_delay_jitter([&](SimTime) {
+    ++out.jitter_draws;
+    return static_cast<SimTime>(jitter_rng.uniform_int(0, 3) * 250);
+  });
+  net.set_delivery_tap([&](const Packet& p, NodeId at, SimTime when) {
+    out.deliveries.emplace_back(when, at, p.tcp.seq);
+  });
+
+  const auto config = [](BitsPerSec rate, SimTime on, SimTime off,
+                         std::int32_t bytes, double pareto) {
+    CrossTrafficConfig c;
+    c.burst_rate = rate;
+    c.mean_on = on;
+    c.mean_off = off;
+    c.packet_bytes = bytes;
+    c.pareto_on_shape = pareto;
+    return c;
+  };
+  std::deque<Cross> sources;
+  sources.emplace_back(net, r, b, config(mbps(3), msec(20), msec(30), 1000, 0),
+                       util::Rng(seed + 10));
+  sources.emplace_back(net, r, b,
+                       config(mbps(2), msec(10), msec(40), 500, 1.5),
+                       util::Rng(seed + 11));
+  sources.emplace_back(net, b, r, config(mbps(1), msec(30), msec(30), 800, 0),
+                       util::Rng(seed + 12));
+  sources.emplace_back(net, a, r, config(mbps(20), msec(2), msec(10), 50, 0),
+                       util::Rng(seed + 13));
+  for (Cross& source : sources) source.start();
+
+  util::Rng script(seed);
+  std::uint64_t next_id = 0;
+  const auto send = [&] {
+    Packet p = make_packet(a, b, script.uniform_int(0, 1) == 0 ? 1200 : 400);
+    p.tcp.seq = next_id++;
+    net.send(std::move(p));
+  };
+  std::function<void()> chain = [&] {
+    send();
+    const SimTime gaps[] = {0, 250, 500, 1000, 2000};
+    sim.schedule_in(gaps[script.uniform_int(0, 4)], chain);
+  };
+  sim.schedule_at(0, chain);
+  std::function<void()> sample = [&] {
+    const LinkStats& st = loaded.stats();
+    auto row = std::make_tuple(sim.now(), loaded.queued_bytes(),
+                               st.packets_sent, st.packets_dropped,
+                               st.busy_time, bottleneck.max_queue_fill());
+    if (out.samples.empty() ||
+        std::get<1>(out.samples.back()) != std::get<1>(row) ||
+        std::get<2>(out.samples.back()) != std::get<2>(row) ||
+        std::get<3>(out.samples.back()) != std::get<3>(row)) {
+      out.samples.push_back(row);
+    }
+    sim.schedule_in(kSamplePeriod, sample);
+  };
+  sim.schedule_at(0, sample);
+
+  sim.run_until(msec(700));
+  for (int i = 0; i < 5; ++i) send();
+  sim.run_until(msec(1500));
+
+  for (std::size_t i = 0; i < net.link_count(); ++i) {
+    const Link& link = net.link(i);
+    out.directions.push_back(link.direction_from(link.a()).stats());
+    out.directions.push_back(link.direction_from(link.b()).stats());
+  }
+  for (const Cross& source : sources) {
+    out.emitted.push_back(source.packets_emitted());
+    if constexpr (std::is_same_v<Cross, HeapCrossTraffic>) {
+      for (const SimTime t : source.arrivals()) {
+        out.arrival_sample_ties += t % kSamplePeriod == 0 ? 1 : 0;
+      }
+      out.arrival_done_ties += source.done_ties();
+    }
+  }
+  out.events_executed = sim.events_executed();
+  out.events_pending = sim.pending_events();
+  return out;
+}
+
+TEST(LinkDifferential, LaneCrossTrafficMatchesHeapScheduledEmitter) {
+  for (const QueuePolicy policy : {QueuePolicy::kDropTail, QueuePolicy::kRed}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      SCOPED_TRACE(policy == QueuePolicy::kRed ? "red" : "drop-tail");
+      SCOPED_TRACE(seed);
+      const auto ref = run_emitters<HeapCrossTraffic>(policy, seed);
+      const auto now = run_emitters<CrossTrafficSource>(policy, seed);
+
+      EXPECT_EQ(ref.deliveries, now.deliveries);
+      EXPECT_EQ(ref.samples, now.samples);
+      ASSERT_EQ(ref.directions.size(), now.directions.size());
+      for (std::size_t i = 0; i < ref.directions.size(); ++i) {
+        SCOPED_TRACE(i);
+        EXPECT_EQ(ref.directions[i].packets_sent,
+                  now.directions[i].packets_sent);
+        EXPECT_EQ(ref.directions[i].packets_dropped,
+                  now.directions[i].packets_dropped);
+        EXPECT_EQ(ref.directions[i].packets_faulted,
+                  now.directions[i].packets_faulted);
+        EXPECT_EQ(ref.directions[i].bytes_sent, now.directions[i].bytes_sent);
+        EXPECT_EQ(ref.directions[i].busy_time, now.directions[i].busy_time);
+      }
+      EXPECT_EQ(ref.emitted, now.emitted);
+      EXPECT_EQ(ref.fault_draws, now.fault_draws);
+      EXPECT_EQ(ref.jitter_draws, now.jitter_draws);
+      EXPECT_EQ(ref.events_executed, now.events_executed);
+      EXPECT_EQ(ref.events_pending, now.events_pending);
+
+      // The scenario exercises what it claims: every source emitted, the
+      // loaded direction overflowed and corrupted packets, foreground
+      // packets got through, and arrivals tied with samples.
+      for (const std::uint64_t n : now.emitted) EXPECT_GT(n, 0u);
+      const LinkStats& hot = now.directions[2];  // r -> b
+      EXPECT_GT(hot.packets_faulted, 0u);
+      EXPECT_GT(hot.packets_dropped, hot.packets_faulted);
+      EXPECT_GT(now.deliveries.size(), 500u);
+      EXPECT_GT(ref.arrival_sample_ties, 50u);
+      EXPECT_GT(ref.arrival_done_ties, 50u);
     }
   }
 }

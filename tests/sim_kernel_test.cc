@@ -1,20 +1,29 @@
 // Differential test: the rewritten event kernel (pooled slots + 4-ary heap)
-// against a verbatim port of the original kernel (std::function events in a
-// std::priority_queue with an unordered_set of cancelled ids).
+// against a port of the original kernel (std::function events in a
+// std::priority_queue with an unordered_set of cancelled ids). Further down,
+// reserved seqs and the timer lane are each checked against an all-heap
+// replica of the same workload.
 //
 // The rewrite's contract is that event *order* is bit-identical: equal
 // timestamps fire in schedule order, cancellation drops events at exactly
-// the same points, and run_until keeps the seed kernel's quirk of consulting
-// the raw heap head (cancelled entries included) before each step. Randomised
-// workloads — nested scheduling, same-timestamp bursts, in-flight and stale
-// cancels, deadline runs — are driven through both kernels and the fire logs
-// compared. Because EventId encodings differ between the kernels, cancels
-// are expressed by schedule index, not raw id.
+// the same points, and run_until fires exactly the live events at or before
+// its deadline. Randomised workloads — nested scheduling, same-timestamp
+// bursts, in-flight and stale cancels, deadline runs — are driven through
+// both kernels and the fire logs compared. Because EventId encodings differ
+// between the kernels, cancels are expressed by schedule index, not raw id.
+//
+// The seed kernel's run_until consulted the raw heap head, cancelled
+// entries included, so a cancelled head at or before the deadline admitted
+// one step that could fire a live event past it. The reference below is
+// moved to the current contract on purpose (its run_until skips cancelled
+// heads); the study never took that path.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <deque>
 #include <functional>
+#include <memory>
 #include <queue>
 #include <random>
 #include <unordered_set>
@@ -27,7 +36,8 @@
 namespace rv::sim {
 namespace {
 
-// The seed repo's kernel, verbatim except for the class name.
+// The seed repo's kernel, verbatim except for the class name and
+// run_until, which skips cancelled heads before it compares the deadline.
 class LegacySimulator {
  public:
   LegacySimulator() = default;
@@ -70,8 +80,15 @@ class LegacySimulator {
   }
 
   void run_until(SimTime deadline) {
-    while (!queue_.empty() && queue_.top().at <= deadline) {
-      if (!step()) break;
+    while (!queue_.empty()) {
+      if (const auto it = cancelled_.find(queue_.top().id);
+          it != cancelled_.end()) {
+        cancelled_.erase(it);
+        queue_.pop();
+        continue;
+      }
+      if (queue_.top().at > deadline) break;
+      step();
     }
     now_ = deadline;
   }
@@ -266,11 +283,11 @@ TEST(SimKernelDifferential, MultiLevelFireLogsMatchLegacyKernel) {
   }
 }
 
-TEST(SimKernelDifferential, FarFutureAndRewoundClockMatchLegacyKernel) {
-  // Entries past 2^32 us, and schedules behind an already-fired time: the
-  // run_until quirk fires a live event past the deadline and then rewinds
-  // the clock to the deadline, so the next schedule lands before the last
-  // fire. Both kernels must agree on every fire and every clock reading.
+TEST(SimKernelDifferential, FarFutureAndCancelledHeadsMatchLegacyKernel) {
+  // Entries past 2^32 us, and run_until deadlines behind a cancelled head:
+  // the cancelled entry is skipped, the live event past the deadline stays
+  // pending, and the clock stops at the deadline. Both kernels must agree
+  // on every fire and every clock reading.
   const auto run_one = [](auto&& sim) {
     std::vector<FireRecord> log;
     const auto record = [&log, &sim](int label) {
@@ -282,17 +299,17 @@ TEST(SimKernelDifferential, FarFutureAndRewoundClockMatchLegacyKernel) {
     const EventId head = sim.schedule_at(10, record(2));
     sim.schedule_at(far, record(3));
     sim.cancel(head);
-    sim.run_until(50);  // fires label 1 at 100, then rewinds to 50
+    sim.run_until(50);  // skips the cancelled head; label 1 stays pending
     log.push_back({-1, sim.now()});
-    sim.schedule_at(60, record(4));  // behind the fire at 100
+    sim.schedule_at(60, record(4));
     sim.schedule_at(60, record(5));  // same tick: schedule order
     sim.schedule_at(SimTime{1} << 33, record(6));
     const EventId far_head = sim.schedule_at(far - 1, record(7));
     sim.run_until(100);
     sim.cancel(far_head);
-    sim.run_until(far - 1);  // fires label 3 at far, then rewinds to far - 1
+    sim.run_until(far - 1);  // skips far_head; label 3 at far stays pending
     log.push_back({-1, sim.now()});
-    sim.schedule_at(far - 1, record(8));  // behind the fire at far
+    sim.schedule_at(far - 1, record(8));
     sim.schedule_in(0, record(9));
     sim.run();
     log.push_back({-1, sim.now()});
@@ -302,17 +319,17 @@ TEST(SimKernelDifferential, FarFutureAndRewoundClockMatchLegacyKernel) {
   Simulator current;
   const auto expected = run_one(legacy);
   ASSERT_EQ(expected.size(), 11u);
-  EXPECT_EQ(expected[0], (FireRecord{1, 100}));
-  EXPECT_EQ(expected[1], (FireRecord{-1, 50}));
+  EXPECT_EQ(expected[0], (FireRecord{-1, 50}));
+  EXPECT_EQ(expected[1], (FireRecord{4, 60}));
+  EXPECT_EQ(expected[4], (FireRecord{-1, (SimTime{1} << 32) + 4}));
   EXPECT_EQ(expected, run_one(current));
   EXPECT_EQ(current.heap_size(), 0u);
   EXPECT_EQ(current.pending_events(), 0u);
 }
 
-TEST(SimKernelDifferential, RunUntilQuirkMatchesLegacyKernel) {
-  // Directed check of the preserved quirk: a cancelled head entry at or
-  // before the deadline admits one step that fires a live event past the
-  // deadline. Both kernels must agree on the fire and the final clock.
+TEST(SimKernelDifferential, RunUntilStopsAtTheDeadlineBehindACancelledHead) {
+  // A cancelled head at or before the deadline does not let a live event
+  // past the deadline fire; the next run reaches it.
   const auto run_one = [](auto&& sim) {
     std::vector<FireRecord> log;
     const EventId head = sim.schedule_at(10, [] {});
@@ -320,18 +337,43 @@ TEST(SimKernelDifferential, RunUntilQuirkMatchesLegacyKernel) {
     sim.cancel(head);
     sim.run_until(50);
     log.push_back({-1, sim.now()});
+    sim.run_until(100);
+    log.push_back({-1, sim.now()});
     return log;
   };
   LegacySimulator legacy;
   Simulator current;
-  EXPECT_EQ(run_one(legacy), run_one(current));
+  const auto expected = run_one(legacy);
+  EXPECT_EQ(expected, (std::vector<FireRecord>{{-1, 50}, {1, 100}, {-1, 100}}));
+  EXPECT_EQ(expected, run_one(current));
 }
 
+// A lane timer owner that runs `on_fire` each time its timer fires.
+class FnTimer {
+ public:
+  FnTimer(Simulator& sim, std::function<void()> on_fire)
+      : sim_(sim),
+        on_fire_(std::move(on_fire)),
+        id_(sim.add_timer(&FnTimer::fire, this)) {}
+  ~FnTimer() { sim_.remove_timer(id_); }
+  FnTimer(const FnTimer&) = delete;
+  FnTimer& operator=(const FnTimer&) = delete;
 
-// Reserved-seq events. A workload like drive() above, in two modes that
-// differ only in how "late" events are scheduled: kScheduled calls
-// schedule_at when the event is decided on, kReserved takes the seq then
-// and arms it with schedule_reserved a few operations later, after other
+  void arm(SimTime at, std::uint64_t seq) { sim_.arm_timer(id_, at, seq); }
+  TimerId id() const { return id_; }
+
+ private:
+  static void fire(void* self) { static_cast<FnTimer*>(self)->on_fire_(); }
+
+  Simulator& sim_;
+  std::function<void()> on_fire_;
+  TimerId id_;
+};
+
+// Reserved seqs armed on lane timers. A workload like drive() above, in two
+// modes that differ only in how "late" events are scheduled: kScheduled
+// calls schedule_at when the event is decided on, kReserved takes the seq
+// then and arms a lane timer at it a few operations later, after other
 // (often co-timed) events have been scheduled. kUnarmed never arms the late
 // events at all, and late events only log, so it must match kScheduled with
 // the late fires removed, as long as no bare step() is taken: a step that
@@ -350,15 +392,18 @@ std::vector<FireRecord> drive_reserved(std::uint32_t seed, LateMode mode,
   std::mt19937 rng(seed);
   std::vector<FireRecord> log;
   std::vector<Late> unarmed;  // reserved, not yet armed
+  std::deque<FnTimer> timers;  // one lane timer per armed late event
   int next_label = 0;
 
   const auto arm_all = [&] {
     for (const Late& late : unarmed) {
       if (mode == LateMode::kReserved) {
         const int label = late.label;
-        sim.schedule_reserved(late.at, late.seq, [&log, &sim, label] {
-          log.push_back({label, sim.now()});
-        });
+        timers
+            .emplace_back(sim, [&log, &sim, label] {
+              log.push_back({label, sim.now()});
+            })
+            .arm(late.at, late.seq);
       }
     }
     unarmed.clear();
@@ -461,7 +506,8 @@ TEST(ReservedEvents, HasFiredTracksTheLastFiredKey) {
 
   // An armed key reads fired from inside its own event.
   const std::uint64_t own = sim.reserve_seq();
-  sim.schedule_reserved(12, own, probe(12, own));
+  FnTimer own_timer(sim, probe(12, own));
+  own_timer.arm(12, own);
   sim.run();
   EXPECT_TRUE(seen.back());
 
@@ -476,7 +522,7 @@ TEST(ReservedEvents, HasFiredTracksTheLastFiredKey) {
   EXPECT_FALSE(sim.has_fired(21, late));
   const std::uint64_t after = sim.reserve_seq();
   EXPECT_FALSE(sim.has_fired(20, after));
-  sim.schedule_reserved(20, after, [] {});
+  own_timer.arm(20, after);
   EXPECT_EQ(sim.pending_events(), 1u);
 
   // reset forgets every passed key.
@@ -488,17 +534,18 @@ TEST(ReservedEvents, HasFiredTracksTheLastFiredKey) {
 
 TEST(ReservedEvents, ArmingAPassedOrUnreservedKeyThrows) {
   Simulator sim;
+  FnTimer timer(sim, [] {});
   const std::uint64_t seq = sim.reserve_seq();
   sim.run_until(10);
-  EXPECT_THROW(sim.schedule_reserved(5, seq, [] {}), util::CheckError);
-  EXPECT_THROW(sim.schedule_reserved(10, seq, [] {}), util::CheckError);
+  EXPECT_THROW(timer.arm(5, seq), util::CheckError);
+  EXPECT_THROW(timer.arm(10, seq), util::CheckError);
 
   // Same time as the firing event but an earlier seq: already passed.
   const std::uint64_t tied = sim.reserve_seq();
   bool threw = false;
   sim.schedule_at(12, [&] {
     try {
-      sim.schedule_reserved(12, tied, [] {});
+      timer.arm(12, tied);
     } catch (const util::CheckError&) {
       threw = true;
     }
@@ -506,8 +553,8 @@ TEST(ReservedEvents, ArmingAPassedOrUnreservedKeyThrows) {
   sim.run();
   EXPECT_TRUE(threw);
 
-  EXPECT_THROW(sim.schedule_reserved(50, 0, [] {}), util::CheckError);
-  EXPECT_THROW(sim.schedule_reserved(50, 1000, [] {}), util::CheckError);
+  EXPECT_THROW(timer.arm(50, 0), util::CheckError);
+  EXPECT_THROW(timer.arm(50, 1000), util::CheckError);
   EXPECT_EQ(sim.pending_events(), 0u);
 }
 
@@ -616,10 +663,295 @@ TEST(Stop, AStoppedRunUntilLeavesTheWatermarkAtTheStoppingEvent) {
   // So a key reserved before the stop can still be armed inside the
   // deadline the stopped run never reached.
   bool armed_fired = false;
-  sim.schedule_reserved(30, later, [&] { armed_fired = true; });
+  FnTimer timer(sim, [&] { armed_fired = true; });
+  timer.arm(30, later);
   sim.run_until(50);
   EXPECT_TRUE(armed_fired);
   EXPECT_EQ(sim.now(), 50);
+}
+
+// The timer lane against an all-heap replica. Actors own at most one
+// pending event each, like a link direction's transmit-done or a cross-
+// traffic source's next arrival. In kHeap mode an actor schedules a heap
+// event when it decides on one; in kLane mode it takes the seq then and
+// arms its lane timer, sometimes only after the deciding event has
+// scheduled other (often co-timed) heap events. Plain heap events schedule,
+// cancel, wake idle actors and stop the run; actors re-arm themselves. The
+// workload mixes run_until, step, run, stop and one reset, after which the
+// lane actors register again. Both modes must fire the same labels at the
+// same times, in the same order, and agree on the clock, pending_events()
+// and events_executed() at every checkpoint.
+enum class Lane { kHeap, kTimers };
+
+constexpr int kActorLabel = 100000;
+
+class Actor {
+ public:
+  Actor(Simulator& sim, Lane mode, int index, std::vector<FireRecord>& log)
+      : sim_(sim), mode_(mode), index_(index), log_(log) {
+    if (mode_ == Lane::kTimers) timer_ = sim_.add_timer(&Actor::fire, this);
+  }
+  ~Actor() {
+    if (mode_ == Lane::kTimers) sim_.remove_timer(timer_);
+  }
+  Actor(const Actor&) = delete;
+  Actor& operator=(const Actor&) = delete;
+
+  bool idle() const { return !pending_ && !decided_; }
+  // Decides on the actor's next event at `at`: the seq is taken now.
+  void decide(SimTime at) {
+    decided_ = true;
+    if (mode_ == Lane::kHeap) {
+      sim_.schedule_at(at, [this] { fire(this); });
+    } else {
+      at_ = at;
+      seq_ = sim_.reserve_seq();
+    }
+  }
+  // Arms what decide() took; a no-op for the heap replica.
+  void commit() {
+    decided_ = false;
+    pending_ = true;
+    if (mode_ == Lane::kTimers) sim_.arm_timer(timer_, at_, seq_);
+  }
+
+ private:
+  static void fire(void* self) {
+    auto* actor = static_cast<Actor*>(self);
+    actor->pending_ = false;
+    actor->log_.push_back({kActorLabel + actor->index_, actor->sim_.now()});
+    // Re-arm like an emitter, with equal-time re-arms, until every fifth
+    // fire ends the chain.
+    if (++actor->fires_ % 5 != 0) {
+      actor->decide(actor->sim_.now() + actor->fires_ % 3);
+      actor->commit();
+    }
+  }
+
+  Simulator& sim_;
+  Lane mode_;
+  int index_;
+  std::vector<FireRecord>& log_;
+  TimerId timer_ = 0;
+  SimTime at_ = 0;
+  std::uint64_t seq_ = 0;
+  int fires_ = 0;
+  bool pending_ = false;
+  bool decided_ = false;
+};
+
+std::vector<FireRecord> drive_lane(std::uint32_t seed, Lane mode) {
+  constexpr int kActors = 6;
+  Simulator sim;
+  std::mt19937 rng(seed);
+  std::vector<FireRecord> log;
+  std::vector<EventId> ids;
+  std::deque<Actor> actors;
+  const auto register_actors = [&] {
+    actors.clear();
+    for (int i = 0; i < kActors; ++i) actors.emplace_back(sim, mode, i, log);
+  };
+  register_actors();
+  int next_label = 0;
+  const auto checkpoint = [&] {
+    log.push_back({-1, sim.now()});
+    log.push_back({-2, static_cast<SimTime>(sim.pending_events())});
+    log.push_back({-3, static_cast<SimTime>(sim.events_executed())});
+  };
+
+  std::function<void(int)> fire = [&](int label) {
+    log.push_back({label, sim.now()});
+    Actor& actor = actors[static_cast<std::size_t>(label) % kActors];
+    if (label % 4 == 0 && actor.idle()) {
+      // Decide on the actor's event, schedule a co-timed heap event after
+      // it, then arm: the heap event has the later seq in both modes.
+      actor.decide(sim.now() + label % 3);
+      const int nested = next_label++;
+      ids.push_back(
+          sim.schedule_in(label % 3, [&fire, nested] { fire(nested); }));
+      actor.commit();
+    } else if (label % 3 == 0) {
+      const int nested = next_label++;
+      ids.push_back(
+          sim.schedule_in(label % 2, [&fire, nested] { fire(nested); }));
+    }
+    if (label % 5 == 0 && !ids.empty()) {
+      sim.cancel(ids[static_cast<std::size_t>(label) % ids.size()]);
+    }
+    if (label % 23 == 0) sim.stop();
+  };
+
+  for (int op = 0; op < 500; ++op) {
+    if (op == 250) {
+      sim.reset();
+      ids.clear();
+      register_actors();
+      checkpoint();
+    }
+    switch (rng() % 8) {
+      case 0:
+      case 1: {  // heap event; small deltas force same-time ties
+        const int label = next_label++;
+        ids.push_back(sim.schedule_in(static_cast<SimTime>(rng() % 4),
+                                      [&fire, label] { fire(label); }));
+        break;
+      }
+      case 2: {  // wake an idle actor from outside any event
+        Actor& actor = actors[rng() % kActors];
+        const auto delta = static_cast<SimTime>(rng() % 4);
+        if (actor.idle()) {
+          actor.decide(sim.now() + delta);
+          actor.commit();
+        }
+        break;
+      }
+      case 3:
+        if (!ids.empty()) sim.cancel(ids[rng() % ids.size()]);
+        break;
+      case 4:
+        sim.run_until(sim.now() + static_cast<SimTime>(rng() % 5));
+        checkpoint();
+        break;
+      case 5:
+        sim.step();
+        break;
+      case 6:
+        if (rng() % 3 == 0) sim.run();
+        checkpoint();
+        break;
+      case 7:
+        if (rng() % 5 == 0) sim.stop();  // the next run returns at once
+        break;
+    }
+  }
+  sim.run();
+  sim.run();  // a stop left waiting by the last run's events
+  checkpoint();
+  return log;
+}
+
+TEST(TimerLane, FiresInTheOrderOfAnAllHeapKernel) {
+  std::size_t lane_first = 0;
+  std::size_t heap_first = 0;
+  for (std::uint32_t seed = 1; seed <= 30; ++seed) {
+    const auto heap = drive_lane(seed, Lane::kHeap);
+    const auto lane = drive_lane(seed, Lane::kTimers);
+    ASSERT_EQ(heap.size(), lane.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < heap.size(); ++i) {
+      ASSERT_EQ(heap[i], lane[i])
+          << "seed " << seed << " diverged at record #" << i << ": heap {"
+          << heap[i].label << " @ " << heap[i].at << "} vs lane {"
+          << lane[i].label << " @ " << lane[i].at << "}";
+    }
+    for (std::size_t i = 1; i < heap.size(); ++i) {
+      if (heap[i].label < 0 || heap[i - 1].label < 0 ||
+          heap[i].at != heap[i - 1].at) {
+        continue;
+      }
+      const bool prev_actor = heap[i - 1].label >= kActorLabel;
+      const bool actor = heap[i].label >= kActorLabel;
+      if (prev_actor && !actor) ++lane_first;
+      if (!prev_actor && actor) ++heap_first;
+    }
+  }
+  // Equal-time ties between lane and heap events, on both sides.
+  EXPECT_GT(lane_first, 100u);
+  EXPECT_GT(heap_first, 100u);
+}
+
+TEST(TimerLane, CountsAsPendingAndExecutedAndSetsTheClock) {
+  Simulator sim;
+  std::vector<SimTime> fired;
+  FnTimer timer(sim, [&] { fired.push_back(sim.now()); });
+  EXPECT_EQ(sim.pending_events(), 0u);
+  timer.arm(40, sim.reserve_seq());
+  EXPECT_THROW(timer.arm(50, sim.reserve_seq()), util::CheckError);
+  sim.schedule_at(40, [&] { fired.push_back(-sim.now()); });
+  EXPECT_EQ(sim.pending_events(), 2u);
+  EXPECT_EQ(sim.heap_size(), 1u);
+  EXPECT_TRUE(sim.step());
+  EXPECT_EQ(fired, (std::vector<SimTime>{40}));
+  EXPECT_EQ(sim.now(), 40);
+  EXPECT_EQ(sim.events_executed(), 1u);
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.run_until(60);
+  EXPECT_EQ(fired, (std::vector<SimTime>{40, -40}));
+
+  // A timer armed past a run_until deadline stays pending, and one armed
+  // at the deadline fires.
+  timer.arm(70, sim.reserve_seq());
+  sim.run_until(69);
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.run_until(70);
+  EXPECT_EQ(fired.back(), 70);
+  EXPECT_EQ(sim.now(), 70);
+  EXPECT_EQ(sim.events_executed(), 3u);
+  EXPECT_FALSE(sim.step());
+}
+
+TEST(TimerLane, StopFromATimerLeavesTheRestPending) {
+  Simulator sim;
+  std::vector<int> fired;
+  FnTimer stopper(sim, [&] {
+    fired.push_back(1);
+    sim.stop();
+  });
+  FnTimer later(sim, [&] { fired.push_back(3); });
+  stopper.arm(10, sim.reserve_seq());
+  sim.schedule_at(10, [&] { fired.push_back(2); });  // co-timed, later seq
+  later.arm(10, sim.reserve_seq());
+  sim.run_until(100);
+  EXPECT_EQ(fired, (std::vector<int>{1}));
+  EXPECT_EQ(sim.now(), 10);
+  EXPECT_EQ(sim.pending_events(), 2u);
+  // The stopping timer can be armed again at once, before the rest.
+  stopper.arm(10, sim.reserve_seq());
+  sim.run();
+  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3, 1}));
+  sim.run();
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+TEST(TimerLane, RemoveAndResetDropTimers) {
+  Simulator sim;
+  int fired = 0;
+  std::vector<SimTime> at;
+  auto a = std::make_unique<FnTimer>(sim, [&] { ++fired; });
+  FnTimer b(sim, [&] {
+    ++fired;
+    at.push_back(sim.now());
+  });
+  auto mid = std::make_unique<FnTimer>(sim, [&] { ++fired; });
+  FnTimer last(sim, [&] {
+    ++fired;
+    at.push_back(sim.now());
+  });
+  last.arm(9, sim.reserve_seq());
+  a->arm(5, sim.reserve_seq());
+  mid->arm(7, sim.reserve_seq());
+  b.arm(6, sim.reserve_seq());
+  EXPECT_EQ(sim.pending_events(), 4u);
+  a.reset();  // the owner dies with its timer armed, the next to fire
+  mid.reset();  // and one armed between two others
+  EXPECT_EQ(sim.pending_events(), 2u);
+  sim.run();
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(at, (std::vector<SimTime>{6, 9}));
+
+  // A freed lane entry is reused; ids from before a reset are stale.
+  FnTimer c(sim, [&] { ++fired; });
+  EXPECT_NE(c.id(), b.id());
+  c.arm(12, sim.reserve_seq());
+  sim.reset();
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_THROW(c.arm(1, sim.reserve_seq()), util::CheckError);
+  FnTimer d(sim, [&] { ++fired; });
+  EXPECT_NE(d.id(), c.id());
+  d.arm(3, sim.reserve_seq());
+  sim.remove_timer(b.id());  // stale: leaves d alone
+  sim.run();
+  EXPECT_EQ(fired, 3);
+  EXPECT_EQ(sim.now(), 3);
 }
 
 }  // namespace

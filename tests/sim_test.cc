@@ -242,20 +242,22 @@ TEST(Simulator, CancelledTombstonesDrainAtPop) {
   EXPECT_EQ(sim.heap_size(), 0u);
 }
 
-TEST(Simulator, RunUntilCancelledHeadAdmitsNextStep) {
-  // Preserved seed-kernel quirk: run_until inspects the raw heap head
-  // (tombstones included). A cancelled entry at or before the deadline
-  // admits one step(), which may fire the next live event even though it
-  // lies past the deadline; the clock then ends at the deadline. Study
-  // byte-identity across the kernel rewrite depends on this timing.
+TEST(Simulator, RunUntilCancelledHeadDoesNotAdmitALaterEvent) {
+  // run_until skips cancelled entries before it compares the deadline, so
+  // a cancelled entry at or before the deadline never lets a live event
+  // past it fire. (The seed kernel inspected the raw heap head and did
+  // fire it; the study never reached that case.)
   Simulator sim;
   bool late_fired = false;
   const EventId head = sim.schedule_at(10, [] {});
   sim.schedule_at(100, [&] { late_fired = true; });
   sim.cancel(head);
   sim.run_until(50);
-  EXPECT_TRUE(late_fired);
+  EXPECT_FALSE(late_fired);
   EXPECT_EQ(sim.now(), 50);
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.run_until(100);
+  EXPECT_TRUE(late_fired);
 }
 
 TEST(Simulator, MoveOnlyCapturesAreSupported) {
