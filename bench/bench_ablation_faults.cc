@@ -6,19 +6,15 @@
 // link flaps, corruption bursts) and shows their performance cost. Scaled by
 // RV_PLAY_SCALE (default 0.04 here: the sweep runs several studies).
 #include "ablation_common.h"
-
-#include <cstdlib>
-
+#include "bench_common.h"
 #include "faults/injector.h"
 #include "study/analysis.h"
 
 namespace {
 
 double play_scale_from_env() {
-  if (const char* scale = std::getenv("RV_PLAY_SCALE")) {
-    return std::atof(scale);
-  }
-  return 0.04;
+  return rv::bench::number_from_env("RV_PLAY_SCALE", rv::util::parse_double)
+      .value_or(0.04);
 }
 
 rv::study::StudyConfig faulted_config(double outage_scale,
@@ -31,8 +27,9 @@ rv::study::StudyConfig faulted_config(double outage_scale,
   cfg.tracer.faults.overload_probability = per_play_rate;
   cfg.tracer.faults.link_down_probability = per_play_rate;
   cfg.tracer.faults.corruption_probability = per_play_rate;
-  if (const char* threads = std::getenv("RV_THREADS")) {
-    cfg.threads = std::atoi(threads);
+  if (const auto threads =
+          rv::bench::number_from_env("RV_THREADS", rv::util::parse_int)) {
+    cfg.threads = static_cast<int>(*threads);
   }
   return cfg;
 }

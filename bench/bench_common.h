@@ -5,25 +5,44 @@
 //   RV_PLAY_SCALE  — fraction of each user's playlist to simulate (default 1)
 //   RV_THREADS     — worker threads for the study (default: hardware)
 //   RV_SEED        — study master seed (default 2001)
+// A malformed value (`RV_SEED=abc`, `RV_THREADS=x`) exits with status 2 and
+// a message naming the variable, instead of running with a wrong default.
 #pragma once
 
+#include <cstdio>
 #include <cstdlib>
+#include <optional>
 
 #include "study/cache.h"
 #include "study/study.h"
+#include "util/args.h"
 
 namespace rv::bench {
 
+// The environment variable `name` parsed strictly by `parse`
+// (util::parse_int or util::parse_double); std::nullopt when it is unset.
+template <class Parse>
+auto number_from_env(const char* name, Parse parse) -> decltype(parse("")) {
+  const char* text = std::getenv(name);
+  if (text == nullptr) return std::nullopt;
+  const auto value = parse(text);
+  if (!value) {
+    std::fprintf(stderr, "%s: malformed value '%s'\n", name, text);
+    std::exit(2);
+  }
+  return value;
+}
+
 inline study::StudyConfig config_from_env() {
   study::StudyConfig config;
-  if (const char* scale = std::getenv("RV_PLAY_SCALE")) {
-    config.play_scale = std::atof(scale);
+  if (const auto scale = number_from_env("RV_PLAY_SCALE", util::parse_double)) {
+    config.play_scale = *scale;
   }
-  if (const char* threads = std::getenv("RV_THREADS")) {
-    config.threads = std::atoi(threads);
+  if (const auto threads = number_from_env("RV_THREADS", util::parse_int)) {
+    config.threads = static_cast<int>(*threads);
   }
-  if (const char* seed = std::getenv("RV_SEED")) {
-    config.seed = static_cast<std::uint64_t>(std::atoll(seed));
+  if (const auto seed = number_from_env("RV_SEED", util::parse_int)) {
+    config.seed = static_cast<std::uint64_t>(*seed);
   }
   return config;
 }

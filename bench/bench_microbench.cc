@@ -87,63 +87,6 @@ void BM_SimulatorTimerChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorTimerChurn);
 
-void BM_SimulatorTimerChurn64k(benchmark::State& state) {
-  // Same churn shape with 64k concurrent timers. The heap is 8 levels deep
-  // here and pops miss cache walking it, so the per-event gap vs the
-  // 64-timer variant is the price of depth. No study play comes near this
-  // population (BM_SimulatorStudyShape); it bounds a much larger model.
-  constexpr int kTimers = 64 * 1024;
-  constexpr long kFires = 256 * 1024;
-  for (auto _ : state) {
-    sim::Simulator sim;
-    long fired = 0;
-    std::function<void(int)> tick = [&](int period) {
-      ++fired;
-      if (fired < kFires) {
-        sim.schedule_in(period, [&tick, period] { tick(period); });
-      }
-    };
-    for (int t = 0; t < kTimers; ++t) {
-      const int period = 5 + (t % 13);
-      sim.schedule_in(period, [&tick, period] { tick(period); });
-    }
-    sim.run();
-    benchmark::DoNotOptimize(fired);
-  }
-  state.SetItemsProcessed(state.iterations() * kFires);
-}
-BENCHMARK(BM_SimulatorTimerChurn64k)->Name("BM_SimulatorTimerChurn/64k")
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_SimulatorWheelCascade(benchmark::State& state) {
-  // Long-horizon mix: 64 timers whose periods span 7 us to 5 minutes, so
-  // near-tied and far-apart keys interleave in one heap. (The name is kept
-  // for baseline continuity: this was the timer wheel's cascade worst case
-  // while the kernel had one.)
-  constexpr long kFires = 20000;
-  static constexpr int kPeriods[] = {7,      180,    3000,   70000,
-                                     900000, 20000000, 300000000};
-  for (auto _ : state) {
-    sim::Simulator sim;
-    long fired = 0;
-    std::function<void(int)> tick = [&](int idx) {
-      ++fired;
-      if (fired < kFires) {
-        const int next = (idx + 1) % 7;
-        sim.schedule_in(kPeriods[next], [&tick, next] { tick(next); });
-      }
-    };
-    for (int t = 0; t < 64; ++t) {
-      const int idx = t % 7;
-      sim.schedule_in(kPeriods[idx], [&tick, idx] { tick(idx); });
-    }
-    sim.run();
-    benchmark::DoNotOptimize(fired);
-  }
-  state.SetItemsProcessed(state.iterations() * kFires);
-}
-BENCHMARK(BM_SimulatorWheelCascade);
-
 void BM_SimulatorStudyShape(benchmark::State& state) {
   // The kernel load of one study play with cross traffic on, as counted in
   // a traced `retracer --connection dsl --clip 3` play (95k events) and

@@ -84,8 +84,6 @@ TRACKED = [
     "BM_SimulatorScheduleRun",
     "BM_SimulatorCancelHeavy",
     "BM_SimulatorTimerChurn",
-    "BM_SimulatorTimerChurn/64k",
-    "BM_SimulatorWheelCascade",
     "BM_SimulatorStudyShape",
     "BM_PacketForwardingChain/2",
     "BM_PacketForwardingChain/8",

@@ -1,6 +1,5 @@
 #include "net/cross_traffic.h"
 
-#include <cmath>
 #include <utility>
 
 #include "util/check.h"
@@ -65,18 +64,8 @@ void CrossTrafficSource::start() {
 void CrossTrafficSource::begin_burst() {
   auto& sim = network_.simulator();
   bursting_ = true;
-  SimTime on_usec = 0;
-  const double mean_usec = to_seconds(config_.mean_on) * 1e6;
-  if (config_.pareto_on_shape > 1.0) {
-    // Pareto with shape a and mean m has scale x_m = m (a-1)/a;
-    // sample x_m * U^(-1/a).
-    const double a = config_.pareto_on_shape;
-    const double scale = mean_usec * (a - 1.0) / a;
-    const double u = 1.0 - rng_.uniform();  // (0, 1]
-    on_usec = static_cast<SimTime>(scale * std::pow(u, -1.0 / a));
-  } else {
-    on_usec = static_cast<SimTime>(rng_.exponential(mean_usec));
-  }
+  const auto on_usec = static_cast<SimTime>(
+      rng_.exponential(to_seconds(config_.mean_on) * 1e6));
   burst_end_ = sim.now() + on_usec;
   emit_packet();
 }

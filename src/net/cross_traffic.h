@@ -28,11 +28,6 @@ struct CrossTrafficConfig {
   SimTime mean_on = msec(500);    // mean burst duration
   SimTime mean_off = msec(500);   // mean idle duration
   std::int32_t packet_bytes = 1000;
-  // 0 = exponential ON durations (Markovian). > 1 = Pareto-distributed ON
-  // durations with this shape (heavy-tailed bursts, the self-similar
-  // traffic shape of the period's measurement literature); the mean stays
-  // mean_on.
-  double pareto_on_shape = 0.0;
 };
 
 class CrossTrafficSource {

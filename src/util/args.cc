@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
+#include <ostream>
+#include <sstream>
 
 #include "util/strings.h"
 
@@ -10,6 +13,21 @@ namespace rv::util {
 Args::Args(int argc, const char* const* argv,
            std::initializer_list<std::string_view> bare_flags)
     : bare_flags_(bare_flags.begin(), bare_flags.end()) {
+  parse(argc, argv);
+}
+
+Args::Args(int argc, const char* const* argv,
+           std::span<const CommandSpec> commands)
+    : bare_flags_{"help"} {
+  for (const CommandSpec& command : commands) {
+    for (const FlagSpec& flag : command.flags) {
+      if (flag.kind == FlagKind::kBare) bare_flags_.emplace_back(flag.name);
+    }
+  }
+  parse(argc, argv);
+}
+
+void Args::parse(int argc, const char* const* argv) {
   if (argc > 0) program_ = argv[0];
   bool flags_done = false;
   for (int i = 1; i < argc; ++i) {
@@ -107,6 +125,100 @@ std::optional<double> parse_double(std::string_view text) {
   const auto [ptr, ec] = std::from_chars(text.data(), last, value);
   if (ec != std::errc() || ptr != last) return std::nullopt;
   return value;
+}
+
+std::vector<FlagSpec> join(
+    std::initializer_list<std::vector<FlagSpec>> lists) {
+  std::vector<FlagSpec> rows;
+  for (const auto& list : lists) {
+    rows.insert(rows.end(), list.begin(), list.end());
+  }
+  return rows;
+}
+
+namespace {
+
+// " in [lo, hi]" for a bounded numeric row, with `open` as its left bracket.
+std::string range(const char* open, const FlagSpec& flag) {
+  if (!std::isfinite(flag.lo) && !std::isfinite(flag.hi)) return "";
+  std::ostringstream os;
+  os << " in " << open << flag.lo << ", " << flag.hi << "]";
+  return os.str();
+}
+
+// Why `flag` does not admit `value`; empty when it does.
+std::string rejection(const FlagSpec& flag, const std::string& value) {
+  const std::string got = ", got '" + value + "'";
+  switch (flag.kind) {
+    case FlagKind::kBare:
+      return value.empty() ? "" : "expects no value" + got;
+    case FlagKind::kText:
+      return "";
+    case FlagKind::kPath:
+      return value.empty() ? "expects a " + std::string(flag.value) : "";
+    case FlagKind::kInt: {
+      const auto n = parse_int(value);
+      const bool ok = n && *n >= flag.lo && *n <= flag.hi;
+      return ok ? "" : "expects an integer" + range("[", flag) + got;
+    }
+    case FlagKind::kReal: {
+      const auto x = parse_double(value);
+      const bool ok = x && std::isfinite(*x) && *x > flag.lo && *x <= flag.hi;
+      return ok ? "" : "expects a number" + range("(", flag) + got;
+    }
+    case FlagKind::kChoice: {
+      const auto choices = split(flag.value, '|');
+      const bool ok = std::count(choices.begin(), choices.end(), value) > 0;
+      return ok ? "" : "expects one of " + std::string(flag.value) + got;
+    }
+  }
+  return "";
+}
+
+}  // namespace
+
+bool check_flags(const Args& args, const CommandSpec& command,
+                 std::ostream& err) {
+  bool ok = true;
+  for (const FlagSpec& flag : command.flags) {
+    if (flag.required && !args.has(std::string(flag.name))) {
+      err << "--" << flag.name << ": required\n";
+      ok = false;
+    }
+  }
+  for (const auto& [name, value] : args.flags()) {
+    if (name == "help") continue;
+    const auto row =
+        std::find_if(command.flags.begin(), command.flags.end(),
+                     [&](const FlagSpec& flag) { return flag.name == name; });
+    const std::string problem = row == command.flags.end()
+                                    ? "not a flag of this command (see --help)"
+                                    : rejection(*row, value);
+    if (!problem.empty()) {
+      err << "--" << name << ": " << problem << "\n";
+      ok = false;
+    }
+  }
+  return ok;
+}
+
+std::string usage(std::string_view tool,
+                  std::span<const CommandSpec> commands) {
+  std::string out;
+  for (const CommandSpec& command : commands) {
+    out += out.empty() ? "usage: " : "       ";
+    out += tool;
+    if (!command.name.empty()) (out += ' ') += command.name;
+    if (!command.operands.empty()) (out += ' ') += command.operands;
+    for (const FlagSpec& flag : command.flags) {
+      out += flag.required ? " --" : " [--";
+      out += flag.name;
+      if (flag.kind != FlagKind::kBare) (out += ' ') += flag.value;
+      if (!flag.required) out += ']';
+    }
+    out += '\n';
+  }
+  return out;
 }
 
 }  // namespace rv::util

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -236,60 +235,6 @@ TEST(CrossTraffic, CongestsSharedQueue) {
   src.start();
   sim.run_until(sec(20));
   EXPECT_GT(link.direction_from(a).stats().packets_dropped, 0u);
-}
-
-
-TEST(CrossTraffic, ParetoBurstsKeepMeanLoad) {
-  sim::Simulator sim;
-  Network net(sim);
-  const NodeId a = net.add_node("a");
-  const NodeId b = net.add_node("b");
-  Link& link = net.add_link(a, b, mbps(10), msec(1), 1 << 20);
-  net.compute_routes();
-  CrossTrafficConfig cfg;
-  cfg.burst_rate = mbps(4);
-  cfg.mean_on = msec(200);
-  cfg.mean_off = msec(200);
-  cfg.pareto_on_shape = 1.5;  // heavy-tailed bursts
-  CrossTrafficSource src(net, a, b, cfg, util::Rng(123));
-  src.start();
-  sim.run_until(sec(60));
-  const double achieved_bps =
-      static_cast<double>(link.direction_from(a).stats().bytes_sent) * 8.0 /
-      60.0;
-  // Same long-run load target as the exponential process, looser tolerance
-  // (heavy tails converge slowly).
-  EXPECT_NEAR(achieved_bps, mbps(2), mbps(2) * 0.6);
-  EXPECT_GT(src.packets_emitted(), 1000u);
-}
-
-TEST(CrossTraffic, ParetoProducesLongerMaxBursts) {
-  // With the same mean, Pareto ON periods occasionally run far longer than
-  // exponential ones — detectable through the longest busy stretch.
-  auto longest_busy = [](double shape) {
-    sim::Simulator sim;
-    Network net(sim);
-    const NodeId a = net.add_node("a");
-    const NodeId b = net.add_node("b");
-    net.add_link(a, b, mbps(10), msec(1), 1 << 20);
-    net.compute_routes();
-    CrossTrafficConfig cfg;
-    cfg.burst_rate = mbps(2);
-    cfg.mean_on = msec(100);
-    cfg.mean_off = msec(100);
-    cfg.pareto_on_shape = shape;
-    CrossTrafficSource src(net, a, b, cfg, util::Rng(5));
-    src.start();
-    // Track the longest run of consecutive seconds with traffic well above
-    // the duty-cycle mean.
-    sim.run_until(sec(120));
-    return src.packets_emitted();
-  };
-  // Both processes emit comparable totals — the Pareto one must at least
-  // function (the distributional difference is visible in its variance,
-  // covered by the mean-load test above).
-  EXPECT_GT(longest_busy(1.2), 100u);
-  EXPECT_GT(longest_busy(0.0), 100u);
 }
 
 TEST(CrossTraffic, StartRequiresExactlyOneLinkBetweenTheNodes) {
@@ -798,16 +743,8 @@ class HeapCrossTraffic {
  private:
   void begin_burst() {
     auto& sim = network_.simulator();
-    SimTime on_usec = 0;
-    const double mean_usec = to_seconds(config_.mean_on) * 1e6;
-    if (config_.pareto_on_shape > 1.0) {
-      const double a = config_.pareto_on_shape;
-      const double scale = mean_usec * (a - 1.0) / a;
-      const double u = 1.0 - rng_.uniform();
-      on_usec = static_cast<SimTime>(scale * std::pow(u, -1.0 / a));
-    } else {
-      on_usec = static_cast<SimTime>(rng_.exponential(mean_usec));
-    }
+    const auto on_usec = static_cast<SimTime>(
+        rng_.exponential(to_seconds(config_.mean_on) * 1e6));
     burst_end_ = sim.now() + on_usec;
     emit_packet();
   }
@@ -874,7 +811,7 @@ struct EmitterOutcome {
 constexpr SimTime kSamplePeriod = 10;
 
 // Foreground packets a -> r -> b over an r -> b bottleneck that two cross
-// sources load (one with Pareto bursts), with a third source on the
+// sources load, with a third source on the
 // reverse direction and a fourth on a -> r. The fourth bursts at a -> r's
 // own rate in 20 us packets, so a quarter of its arrivals (those with no
 // jitter) land in the microsecond its previous packet's transmission ends,
@@ -916,24 +853,22 @@ EmitterOutcome run_emitters(QueuePolicy policy, std::uint64_t seed) {
   });
 
   const auto config = [](BitsPerSec rate, SimTime on, SimTime off,
-                         std::int32_t bytes, double pareto) {
+                         std::int32_t bytes) {
     CrossTrafficConfig c;
     c.burst_rate = rate;
     c.mean_on = on;
     c.mean_off = off;
     c.packet_bytes = bytes;
-    c.pareto_on_shape = pareto;
     return c;
   };
   std::deque<Cross> sources;
-  sources.emplace_back(net, r, b, config(mbps(3), msec(20), msec(30), 1000, 0),
+  sources.emplace_back(net, r, b, config(mbps(3), msec(20), msec(30), 1000),
                        util::Rng(seed + 10));
-  sources.emplace_back(net, r, b,
-                       config(mbps(2), msec(10), msec(40), 500, 1.5),
+  sources.emplace_back(net, r, b, config(mbps(2), msec(10), msec(40), 500),
                        util::Rng(seed + 11));
-  sources.emplace_back(net, b, r, config(mbps(1), msec(30), msec(30), 800, 0),
+  sources.emplace_back(net, b, r, config(mbps(1), msec(30), msec(30), 800),
                        util::Rng(seed + 12));
-  sources.emplace_back(net, a, r, config(mbps(20), msec(2), msec(10), 50, 0),
+  sources.emplace_back(net, a, r, config(mbps(20), msec(2), msec(10), 50),
                        util::Rng(seed + 13));
   for (Cross& source : sources) source.start();
 

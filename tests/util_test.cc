@@ -6,6 +6,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -392,12 +393,40 @@ std::vector<std::string> canonical(const ToolArgs& parsed) {
   return tokens;
 }
 
-TEST(ArgsMutation, RejectsOrRoundTrips) {
-  // A mutant is a command line with one token per line. Every mutant must be
-  // rejected, or parse to arguments whose canonical command line parses
-  // back to the same arguments and is a fixed point. Args itself must never
-  // throw, whatever the tokens hold (embedded NULs end a token, as in a
-  // real argv).
+// The same command as parse_as_tool's, as a flag table: the tool's Args
+// come from the table and check_flags() is the verdict.
+const util::CommandSpec kMutationTool[] = {
+    {"summary",
+     "",
+     {{"faults"},
+      {"telemetry"},
+      {"scale", util::FlagKind::kReal, "X", 0, 1},
+      {"seed", util::FlagKind::kInt, "N"},
+      {"threads", util::FlagKind::kInt, "N", 0, 1024},
+      {"out", util::FlagKind::kPath, "DIR"}}}};
+
+std::optional<ToolArgs> parse_through_table(
+    const std::vector<std::string>& tokens) {
+  std::vector<const char*> argv;
+  for (const auto& t : tokens) argv.push_back(t.c_str());
+  const util::Args args(static_cast<int>(argv.size()), argv.data(),
+                        kMutationTool);
+  std::ostringstream err;
+  if (!util::check_flags(args, kMutationTool[0], err)) return std::nullopt;
+  // A value its row admits reads back without a diagnostic.
+  args.get_double("scale", 1.0);
+  args.get_int("seed", 2001);
+  args.get_int("threads", 0);
+  EXPECT_TRUE(args.errors().empty());
+  return ToolArgs{args.program(), args.flags(), args.positional()};
+}
+
+// A mutant is a command line with one token per line. Every mutant must be
+// rejected, or parse to arguments whose canonical command line parses back
+// to the same arguments and is a fixed point. Parsing must never throw,
+// whatever the tokens hold (embedded NULs end a token, as in a real argv).
+void expect_rejects_or_round_trips(
+    std::optional<ToolArgs> (*parse)(const std::vector<std::string>&)) {
   const std::string valid =
       "realdata\n--faults\nsummary\n--scale\n0.25\n--seed=7\n--threads\n"
       "4\n--out\nk=v\n--telemetry\n--\n--trace-play\nfig";
@@ -412,12 +441,12 @@ TEST(ArgsMutation, RejectsOrRoundTrips) {
     }
     return tokens;
   };
-  ASSERT_TRUE(parse_as_tool(split_lines(valid)).has_value());
+  ASSERT_TRUE(parse(split_lines(valid)).has_value());
   mutation::run_mutants(valid, 3000, 503, [&](const std::string& mutant) {
-    const auto parsed = parse_as_tool(split_lines(mutant));
+    const auto parsed = parse(split_lines(mutant));
     if (!parsed) return false;
     const auto tokens = canonical(*parsed);
-    const auto back = parse_as_tool(tokens);
+    const auto back = parse(tokens);
     EXPECT_TRUE(back.has_value()) << mutant;
     if (back) {
       EXPECT_EQ(*back, *parsed) << mutant;
@@ -425,6 +454,126 @@ TEST(ArgsMutation, RejectsOrRoundTrips) {
     }
     return true;
   });
+}
+
+TEST(ArgsMutation, RejectsOrRoundTrips) {
+  expect_rejects_or_round_trips(&parse_as_tool);
+}
+
+TEST(ArgsMutation, TableRejectsOrRoundTrips) {
+  expect_rejects_or_round_trips(&parse_through_table);
+}
+
+// --- Flag tables ------------------------------------------------------------
+
+const util::CommandSpec kTool[] = {
+    {"run",
+     "",
+     {{"faults"},
+      {"label", util::FlagKind::kText, "TEXT"},
+      {"out", util::FlagKind::kPath, "DIR"},
+      {"threads", util::FlagKind::kInt, "N", 0, 16},
+      {"scale", util::FlagKind::kReal, "X", 0, 1},
+      {"watch", util::FlagKind::kReal, "SEC", 0},
+      {"cc", util::FlagKind::kChoice, "reno|cubic|bbr"}}},
+    {"merge",
+     "DIR...",
+     {util::required({"into", util::FlagKind::kPath, "DIR"})}},
+};
+
+// Whether `argv` passes check_flags against kTool[command], and what it
+// printed.
+std::pair<bool, std::string> check(std::initializer_list<const char*> argv,
+                                   int command = 0) {
+  std::vector<const char*> v(argv);
+  const util::Args args(static_cast<int>(v.size()), v.data(), kTool);
+  std::ostringstream err;
+  const bool ok = util::check_flags(args, kTool[command], err);
+  return {ok, err.str()};
+}
+
+bool passes(std::initializer_list<const char*> argv, int command = 0) {
+  return check(argv, command).first;
+}
+
+TEST(FlagTable, IntBoundsAreInclusiveAtBothEnds) {
+  EXPECT_TRUE(passes({"t", "run", "--threads", "0"}));
+  EXPECT_TRUE(passes({"t", "run", "--threads=16"}));
+  EXPECT_FALSE(passes({"t", "run", "--threads", "-1"}));
+  EXPECT_FALSE(passes({"t", "run", "--threads", "17"}));
+  EXPECT_FALSE(passes({"t", "run", "--threads", "1.5"}));
+  EXPECT_FALSE(passes({"t", "run", "--threads", "4x"}));
+  EXPECT_FALSE(passes({"t", "run", "--threads"}));  // no value
+  const auto [ok, err] = check({"t", "run", "--threads=17"});
+  EXPECT_FALSE(ok);
+  EXPECT_EQ(err, "--threads: expects an integer in [0, 16], got '17'\n");
+}
+
+TEST(FlagTable, RealBoundsIncludeOnlyTheUpperEndAndAreFinite) {
+  EXPECT_TRUE(passes({"t", "run", "--scale", "1"}));
+  EXPECT_TRUE(passes({"t", "run", "--scale", "1e-9"}));
+  EXPECT_FALSE(passes({"t", "run", "--scale", "0"}));
+  EXPECT_FALSE(passes({"t", "run", "--scale", "1.0001"}));
+  EXPECT_FALSE(passes({"t", "run", "--scale", "0.5x"}));
+  EXPECT_FALSE(passes({"t", "run", "--scale", "nan"}));
+  EXPECT_TRUE(passes({"t", "run", "--watch", "1e9"}));
+  EXPECT_FALSE(passes({"t", "run", "--watch", "inf"}));
+  EXPECT_FALSE(passes({"t", "run", "--scale="}));
+}
+
+TEST(FlagTable, PathMustBeNonEmptyButTextMayBe) {
+  EXPECT_TRUE(passes({"t", "run", "--out", "d"}));
+  EXPECT_FALSE(passes({"t", "run", "--out="}));
+  const auto [ok, err] = check({"t", "run", "--out"});
+  EXPECT_FALSE(ok);
+  EXPECT_EQ(err, "--out: expects a DIR\n");
+  EXPECT_TRUE(passes({"t", "run", "--label="}));
+  EXPECT_TRUE(passes({"t", "run", "--label", "56k Modem"}));
+}
+
+TEST(FlagTable, ChoiceOutsideItsListIsRejected) {
+  EXPECT_TRUE(passes({"t", "run", "--cc", "bbr"}));
+  EXPECT_FALSE(passes({"t", "run", "--cc", "Reno"}));
+  EXPECT_FALSE(passes({"t", "run", "--cc", "reno|cubic"}));
+  EXPECT_FALSE(passes({"t", "run", "--cc", ""}));
+  EXPECT_EQ(check({"t", "run", "--cc=tahoe"}).second,
+            "--cc: expects one of reno|cubic|bbr, got 'tahoe'\n");
+}
+
+TEST(FlagTable, FlagUnknownToTheCommandIsRejected) {
+  // --into is merge's, --threads is run's: each command reads only its own
+  // rows, though the tool knows both.
+  const auto [ok, err] = check({"t", "run", "--into", "m"});
+  EXPECT_FALSE(ok);
+  EXPECT_NE(err.find("--into"), std::string::npos) << err;
+  EXPECT_FALSE(passes({"t", "merge", "a", "--into", "m", "--threads", "2"}, 1));
+  EXPECT_FALSE(passes({"t", "run", "--scael", "0.1"}));
+  EXPECT_TRUE(passes({"t", "run", "--help"}));
+  EXPECT_TRUE(passes({"t", "merge", "a", "--into", "m", "--help"}, 1));
+}
+
+TEST(FlagTable, RequiredRowMustBeGiven) {
+  EXPECT_EQ(check({"t", "merge", "a"}, 1).second, "--into: required\n");
+  EXPECT_TRUE(passes({"t", "merge", "a", "b", "--into", "m"}, 1));
+}
+
+TEST(FlagTable, BareFlagBeforeAPositionalTakesNoValue) {
+  const std::vector<const char*> argv = {"t", "--faults", "run", "--help",
+                                         "x"};
+  const util::Args args(static_cast<int>(argv.size()), argv.data(), kTool);
+  EXPECT_EQ(args.positional(), (std::vector<std::string>{"run", "x"}));
+  EXPECT_TRUE(args.has("faults"));
+  EXPECT_TRUE(passes({"t", "--faults", "run", "--threads", "2"}));
+  EXPECT_FALSE(passes({"t", "run", "--faults=1"}));
+}
+
+TEST(FlagTable, UsageRendersEveryRowOfEveryCommand) {
+  EXPECT_EQ(util::usage("t", kTool),
+            "usage: t run [--faults] [--label TEXT] [--out DIR] [--threads N]"
+            " [--scale X] [--watch SEC] [--cc reno|cubic|bbr]\n"
+            "       t merge DIR... --into DIR\n");
+  EXPECT_EQ(util::usage("t", {kTool + 1, 1}),
+            "usage: t merge DIR... --into DIR\n");
 }
 
 TEST(SmallVec, StaysInlineUpToCapacity) {

@@ -2,47 +2,20 @@
 // "an accompanying analysis tool called RealData"): query a study's trace
 // records from the shared cache, slice them by any dimension, and export.
 //
-// Usage:
-//   realdata summary                       study totals (§IV)
-//   realdata fig <5..28>                   regenerate one paper figure
-//   realdata slice [--country US] [--connection modem|dsl|t1]
-//                  [--protocol TCP|UDP] [--server US/CNN]
-//                  [--metric fps|jitter|bandwidth|rating]
-//   realdata users                         per-user play/rate counts
-//   realdata servers                       per-server stats
-//   realdata export <dir>                  all records as CSV
-//
-// Flags: --scale <0..1> (fraction of the study to simulate if no cache),
-//        --seed <n>, --threads <n>.
-//        --trace <path> (Chrome trace_event JSON of every play; forces a
-//        fresh run since traces are never cached) and
-//        --trace-play <user,play> (restrict tracing to one play).
-//        --telemetry (per-play time-series sampling),
-//        --telemetry-interval-ms <n> (sim-time sample spacing, default 500),
-//        --series-csv <path> (export every sampled series as CSV),
-//        --flight-dir <dir> (anomaly flight-recorder JSON dumps; implies
-//        --telemetry and event tracing), --profile (worker self-profile).
-//        Like --trace, these force a fresh run: series live only in memory.
-//        Malformed numeric flag values are an error (exit 2), not a
-//        silent fallback to the default.
-//        --status-port <0..65535> (embedded HTTP status exporter on
-//        127.0.0.1: GET /metrics Prometheus text, /progress JSON, /healthz;
-//        0 picks an ephemeral port, announced on stderr),
-//        --status-hold-ms <n> (keep serving n ms after the command
-//        finishes, for scrapers), --heartbeat-dir <dir> (campaign only:
-//        atomic-rename shard heartbeat JSON refreshed per chunk; see
-//        `rvmerge --status`). All wall-clock-side: the study cache bytes
-//        are identical with the exporter on or off.
+// Commands: summary (study totals, §IV), fig N (one paper figure), slice
+// (a metric over the records a filter keeps), users, servers, export [DIR]
+// (all records as CSV) and campaign (a bounded-memory scaled study shard).
+// `realdata --help` and `realdata COMMAND --help` print the flags each
+// command reads, rendered from the tables below; any other flag, and any
+// malformed value, is a usage error (exit 2).
 #include <unistd.h>
 
-#include <chrono>
+#include <algorithm>
 #include <exception>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <memory>
-#include <thread>
 
 #include "obs/chrome_trace.h"
 #include "obs/heartbeat.h"
@@ -140,17 +113,14 @@ int cmd_slice(const study::StudyResult& result, const util::Args& args) {
     std::cout << "no records match\n";
     return 1;
   }
+  using Metric = std::vector<double> (*)(const Records&);
+  static const std::map<std::string, Metric> metrics = {
+      {"fps", &study::frame_rates},
+      {"jitter", &study::jitters_ms},
+      {"bandwidth", &study::bandwidths_kbps},
+      {"rating", &study::ratings}};
   const std::string metric = args.get_or("metric", "fps");
-  std::vector<double> values;
-  if (metric == "jitter") {
-    values = study::jitters_ms(records);
-  } else if (metric == "bandwidth") {
-    values = study::bandwidths_kbps(records);
-  } else if (metric == "rating") {
-    values = study::ratings(records);
-  } else {
-    values = study::frame_rates(records);
-  }
+  const std::vector<double> values = metrics.at(metric)(records);
   if (values.empty()) {
     std::cout << "no values (rating requires rated records)\n";
     return 1;
@@ -310,13 +280,7 @@ int cmd_campaign(const study::StudyConfig& study_cfg, const util::Args& args,
                  const std::string& heartbeat_dir) {
   study::CampaignConfig cc;
   cc.study = study_cfg;
-  const auto plays_scale = args.get_int("plays-scale", 1);
-  if (plays_scale < 1) {
-    std::cerr << "--plays-scale must be a positive integer (got "
-              << plays_scale << ")\n";
-    return 2;
-  }
-  cc.plays_scale = static_cast<std::uint64_t>(plays_scale);
+  cc.plays_scale = static_cast<std::uint64_t>(args.get_int("plays-scale", 1));
   if (const auto shard = args.get("shard")) {
     if (!parse_shard(*shard, &cc.shard_index, &cc.shard_count)) {
       std::cerr << "--shard expects i/N with 0 <= i < N (got '" << *shard
@@ -324,35 +288,11 @@ int cmd_campaign(const study::StudyConfig& study_cfg, const util::Args& args,
       return 2;
     }
   }
-  if (args.has("spill-dir")) {
-    cc.spill_dir = args.get_or("spill-dir", "");
-    if (cc.spill_dir.empty()) {
-      std::cerr << "--spill-dir requires a directory\n";
-      return 2;
-    }
-  }
-  const auto chunk_users = args.get_int("chunk-users", 63);
-  if (chunk_users < 1) {
-    std::cerr << "--chunk-users must be a positive integer (got "
-              << chunk_users << ")\n";
-    return 2;
-  }
-  cc.chunk_users = static_cast<std::uint64_t>(chunk_users);
-  const double watch = args.get_double("watch", 60.0);
-  if (args.has("watch") && !(watch > 0.0)) {
-    std::cerr << "--watch must be a positive number of seconds\n";
-    return 2;
-  }
-  cc.study.tracer.watch_duration = seconds_to_sim(watch);
+  cc.spill_dir = args.get_or("spill-dir", "");
+  cc.chunk_users = static_cast<std::uint64_t>(args.get_int("chunk-users", 63));
+  cc.study.tracer.watch_duration =
+      seconds_to_sim(args.get_double("watch", 60.0));
   const std::string rollup_out = args.get_or("rollup-out", "");
-  if (args.has("rollup-out") && rollup_out.empty()) {
-    std::cerr << "--rollup-out requires a file path\n";
-    return 2;
-  }
-  if (!args.errors().empty()) {
-    for (const auto& err : args.errors()) std::cerr << err << "\n";
-    return 2;
-  }
 
   // Shard label on every exported series, so a Prometheus scrape of N
   // shards stays distinguishable.
@@ -450,62 +390,80 @@ int cmd_campaign(const study::StudyConfig& study_cfg, const util::Args& args,
   return 0;
 }
 
-// Keeps the status exporter serving a little longer after the command
-// finishes (so a scraper polling /progress can observe the final state),
-// simply by delaying the StatusServer destructor.
-struct StatusHold {
-  std::int64_t ms = 0;
-  ~StatusHold() {
-    if (ms > 0) std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-  }
+using util::FlagKind;
+using util::FlagSpec;
+
+// The rows every command reads: the simulated study's configuration and the
+// shared flags.
+const std::vector<FlagSpec> kRunFlags =
+    util::join({{{"scale", FlagKind::kReal, "X", 0, 1},
+                 {"seed", FlagKind::kInt, "N"},
+                 {"threads", FlagKind::kInt, "N", 0, 1024},
+                 {"faults"},
+                 {"outage-scale", FlagKind::kReal, "X"},
+                 {"profile"}},
+                tools::kSharedFlags});
+
+// The study commands also read the cache and write the in-memory outputs.
+const std::vector<FlagSpec> kStudyFlags =
+    util::join({kRunFlags,
+                {{"cache-dir", FlagKind::kPath, "DIR"},
+                 tools::kTraceFlag,
+                 {"trace-play", FlagKind::kText, "U,P"},
+                 tools::kSeriesCsvFlag,
+                 {"flight-dir", FlagKind::kPath, "DIR"}}});
+
+const util::CommandSpec kCommands[] = {
+    {"summary", "", kStudyFlags},
+    {"fig", "N", kStudyFlags},
+    {"slice", "",
+     util::join({kStudyFlags,
+                 {{"country", FlagKind::kText, "CC"},
+                  {"connection", FlagKind::kChoice,
+                   "modem|dsl|t1|56k Modem|DSL/Cable|T1/LAN"},
+                  {"protocol", FlagKind::kText, "TCP|UDP"},
+                  {"server", FlagKind::kText, "NAME"},
+                  {"metric", FlagKind::kChoice,
+                   "fps|jitter|bandwidth|rating"}}})},
+    {"users", "", kStudyFlags},
+    {"servers", "", kStudyFlags},
+    {"export", "[DIR]", kStudyFlags},
+    {"campaign", "",
+     util::join({kRunFlags,
+                 {{"plays-scale", FlagKind::kInt, "N", 1},
+                  {"shard", FlagKind::kText, "I/N"},
+                  {"spill-dir", FlagKind::kPath, "DIR"},
+                  {"rollup-out", FlagKind::kPath, "PATH"},
+                  {"chunk-users", FlagKind::kInt, "N", 1},
+                  {"watch", FlagKind::kReal, "SEC", 0},
+                  {"heartbeat-dir", FlagKind::kPath, "DIR"}}})},
 };
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::Args args(argc, argv, {"help", "faults", "telemetry", "profile"});
-  if (args.positional().empty() || args.has("help")) {
-    std::cout << "usage: realdata <summary|fig N|slice|users|servers|"
-                 "export DIR|campaign> [--scale X] [--seed N] [--threads N] "
-                 "[--cc reno|cubic|bbr] [--cache-dir DIR] "
-                 "[--faults [--outage-scale X]] [--trace PATH "
-                 "[--trace-play U,P]] [--telemetry] "
-                 "[--telemetry-interval-ms N] [--series-csv PATH] "
-                 "[--flight-dir DIR] [--profile] [--status-port P "
-                 "[--status-hold-ms N]] [slice flags]\n"
-                 "       realdata campaign [--plays-scale N] [--shard i/N] "
-                 "[--spill-dir DIR] [--rollup-out PATH] [--chunk-users N] "
-                 "[--watch SEC] [--heartbeat-dir DIR]\n";
+  const util::Args args(argc, argv, kCommands);
+  const std::string command =
+      args.positional().empty() ? "" : args.positional()[0];
+  const auto spec = std::find_if(
+      std::begin(kCommands), std::end(kCommands),
+      [&](const util::CommandSpec& c) { return c.name == command; });
+  const bool known = spec != std::end(kCommands);
+  if (!known || args.has("help")) {
+    if (!known && !command.empty()) {
+      std::cerr << "unknown command: " << command << "\n";
+    }
+    std::cout << util::usage("realdata", known ? std::span(spec, 1)
+                                               : std::span(kCommands));
     return args.has("help") ? 0 : 1;
   }
-  const auto unknown = args.unknown_flags(
-      {"scale", "seed", "threads", "cc", "cache-dir", "outage-scale", "trace",
-       "trace-play", "telemetry-interval-ms", "series-csv", "flight-dir",
-       "status-port", "status-hold-ms", "country", "connection", "protocol",
-       "server", "metric", "plays-scale", "shard", "spill-dir", "rollup-out",
-       "chunk-users", "watch", "heartbeat-dir"});
-  for (const auto& flag : unknown) {
-    std::cerr << "unknown flag " << flag << "\n";
-  }
-  if (!unknown.empty()) return 2;
+  if (!util::check_flags(args, *spec, std::cerr)) return 2;
 
   study::StudyConfig config;
   config.play_scale = args.get_double("scale", 1.0);
   config.seed = static_cast<std::uint64_t>(args.get_int("seed", 2001));
-  const auto threads = args.get_int("threads", 0);
-  if (threads < 0 || threads > 1024) {
-    std::cerr << "--threads must be in [0, 1024] (0 = all cores), got "
-              << threads << "\n";
-    return 2;
-  }
-  config.threads = static_cast<int>(threads);
-  if (!(config.play_scale > 0.0 && config.play_scale <= 1.0)) {
-    std::cerr << "--scale must be in (0, 1], got " << config.play_scale
-              << "\n";
-    return 2;
-  }
-  const auto flags = tools::parse_shared_flags(args, config.tracer);
-  if (!flags) return 2;
+  config.threads = static_cast<int>(args.get_int("threads", 0));
+  tools::apply_shared_flags(args, config.tracer);
   if (args.has("faults")) {
     // Mechanistic fault injection: per-site outage schedules instead of the
     // Bernoulli availability model (plus any FaultConfig defaults).
@@ -513,48 +471,35 @@ int main(int argc, char** argv) {
     config.tracer.faults.outage_scale =
         args.get_double("outage-scale", 1.0);
   }
-  const bool want_trace = !flags->trace_path.empty();
-  if (want_trace) {
-    if (const auto tp = args.get("trace-play")) {
-      const auto parsed = obs::parse_trace_play(*tp);
-      if (!parsed) {
-        std::cerr << "--trace-play expects exactly <user,play> with "
-                     "non-negative integers (got '" << *tp << "')\n";
-        return 2;
-      }
+  const std::string trace_path = args.get_or("trace", "");
+  const std::string series_csv = args.get_or("series-csv", "");
+  const bool want_trace = !trace_path.empty();
+  if (const auto tp = args.get("trace-play")) {
+    const auto parsed = obs::parse_trace_play(*tp);
+    if (!parsed) {
+      std::cerr << "--trace-play expects exactly <user,play> with "
+                   "non-negative integers (got '" << *tp << "')\n";
+      return 2;
+    }
+    if (want_trace) {
       config.tracer.obs.filter_user = parsed->first;
       config.tracer.obs.filter_play = parsed->second;
     }
   }
-  const bool want_flight = args.has("flight-dir");
   const std::string flight_dir = args.get_or("flight-dir", "");
-  if (want_flight && flight_dir.empty()) {
-    std::cerr << "--flight-dir requires a directory\n";
-    return 2;
-  }
   // Flight dumps carry the full event ring and the sampled series, so
   // anomaly capture turns telemetry and the obs layer on too.
-  if (want_flight) {
+  if (!flight_dir.empty()) {
     config.tracer.telemetry.enabled = true;
     config.tracer.obs.enabled = true;
   }
   const bool want_telemetry = config.tracer.telemetry.enabled;
   const bool want_profile = args.has("profile");
   config.profile = want_profile;
-
   const std::string cache_dir = args.get_or("cache-dir", "");
-  if (args.has("cache-dir") && cache_dir.empty()) {
-    std::cerr << "--cache-dir requires a directory\n";
-    return 2;
-  }
 
-  std::string heartbeat_dir;
-  if (args.has("heartbeat-dir")) {
-    heartbeat_dir = args.get_or("heartbeat-dir", "");
-    if (heartbeat_dir.empty()) {
-      std::cerr << "--heartbeat-dir requires a directory\n";
-      return 2;
-    }
+  const std::string heartbeat_dir = args.get_or("heartbeat-dir", "");
+  if (!heartbeat_dir.empty()) {
     // Fail fast on an unwritable directory rather than warning once per
     // chunk for the whole campaign.
     std::error_code ec;
@@ -570,16 +515,11 @@ int main(int argc, char** argv) {
 
   // The registry is always installed (the hooks are near-free and the
   // stderr progress line reads it); the HTTP exporter only with
-  // --status-port. Declaration order matters: the hold sleeps first, then
-  // the server stops, then the registry dies.
-  obs::MetricsRegistry metrics;
-  obs::install_metrics(&metrics);
-  std::unique_ptr<obs::StatusServer> status_server;
-  StatusHold status_hold;
-  if (!tools::start_status_server(*flags, &metrics, status_server)) return 2;
-  if (status_server) status_hold.ms = flags->status_hold_ms;
+  // --status-port.
+  tools::StatusExporter status;
+  if (!status.start(args)) return 2;
 
-  if (args.positional()[0] == "campaign") {
+  if (command == "campaign") {
     try {
       return cmd_campaign(config, args, heartbeat_dir);
     } catch (const std::exception& e) {
@@ -588,10 +528,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!args.errors().empty()) {
-    for (const auto& err : args.errors()) std::cerr << err << "\n";
-    return 2;
-  }
   // Traces, series and profiles live only in memory, so such a run cannot be
   // satisfied from the cache; it re-runs and re-saves byte-identical cache
   // contents.
@@ -600,19 +536,19 @@ int main(int argc, char** argv) {
   const study::StudyResult result =
       study::run_study_cached(config, force_run, cache_dir);
   if (want_trace) {
-    const int rc = cmd_write_trace(result, flags->trace_path);
+    const int rc = cmd_write_trace(result, trace_path);
     if (rc != 0) return rc;
   }
-  if (!flags->series_csv.empty()) {
+  if (!series_csv.empty()) {
     try {
-      study::write_series_csv(flags->series_csv, result.records);
+      study::write_series_csv(series_csv, result.records);
     } catch (const std::exception& e) {
       std::cerr << "cannot write series CSV: " << e.what() << "\n";
       return 1;
     }
-    std::cout << "wrote " << flags->series_csv << "\n";
+    std::cout << "wrote " << series_csv << "\n";
   }
-  if (want_flight) {
+  if (!flight_dir.empty()) {
     const int n = study::write_flight_records(flight_dir, result);
     if (n < 0) {
       std::cerr << "cannot write flight records under " << flight_dir << "\n";
@@ -622,8 +558,7 @@ int main(int argc, char** argv) {
               << "\n";
   }
 
-  int rc = 1;
-  const std::string& command = args.positional()[0];
+  int rc = 0;
   if (command == "summary") {
     rc = cmd_summary(result);
   } else if (command == "fig") {
@@ -648,9 +583,6 @@ int main(int argc, char** argv) {
     rc = cmd_export(result, args.positional().size() > 1
                                 ? args.positional()[1]
                                 : "realdata_export");
-  } else {
-    std::cerr << "unknown command: " << command << "\n";
-    return 1;
   }
   // The bottleneck/rollup table and the worker profile ride along after
   // whichever command ran.

@@ -1,41 +1,23 @@
 // retracer — play one clip through the simulator and print the RealTracer
 // record, like running the paper's instrumented player once.
 //
-// Usage:
-//   retracer [--connection modem|dsl|t1] [--pc <fig19-class>]
-//            [--region us-east|us-west|europe|asia|japan|australia|
-//                      s-america|middle-east]
-//            [--clip <playlist-index 0..97>] [--protocol auto|tcp]
-//            [--cc reno|cubic|bbr]
-//            [--live] [--watch <seconds>] [--seed <n>] [--samples]
-//            [--trace <path>] [--telemetry] [--telemetry-interval-ms <n>]
-//            [--series-csv <path>]
-//   retracer --spill-read <path> [--spill-record <k>]
-//
-// --spill-read seeks record k out of a campaign spill file (see
-// docs/DESIGN.md on the columnar format) and prints it — the random-access
-// path over spilled records.
-//
-// --trace writes the play's event trace as Chrome trace_event JSON (load in
-// chrome://tracing or ui.perfetto.dev; see docs/OBSERVABILITY.md).
-// --telemetry samples the play's time series (default every 500 ms of
-// sim-time); with --trace the series also becomes "C"-phase counter tracks,
-// and --series-csv exports it as CSV. Malformed numeric flag values exit 2
-// instead of silently using the default.
-//
 // Examples:
 //   retracer --connection modem --clip 8
 //   retracer --connection dsl --region australia --protocol tcp --samples
-// --status-port <0..65535> serves GET /metrics, /progress and /healthz on
-// 127.0.0.1 while the play runs (0 = ephemeral, announced on stderr);
-// --status-hold-ms keeps serving after the play finishes so a scraper can
-// observe the final counters.
-#include <chrono>
+//
+// --trace writes the play's event trace as Chrome trace_event JSON (load in
+// chrome://tracing or ui.perfetto.dev; see docs/OBSERVABILITY.md);
+// --telemetry samples the play's time series, and --series-csv exports it.
+// --status-port serves GET /metrics, /progress and /healthz on 127.0.0.1
+// while the play runs.
+//
+// The other mode, --spill-read PATH [--spill-record K], seeks record K out
+// of a campaign spill file and prints it: the random-access path over
+// spilled records. `retracer --help` prints the flags each mode reads,
+// rendered from the tables below; any other flag, and any malformed value,
+// is a usage error (exit 2).
 #include <exception>
 #include <iostream>
-#include <memory>
-#include <optional>
-#include <thread>
 
 #include "obs/chrome_trace.h"
 #include "obs/metrics.h"
@@ -52,70 +34,47 @@ namespace {
 
 using namespace rv;
 
-std::optional<world::ConnectionClass> parse_connection(const std::string& s) {
-  if (s == "modem") return world::ConnectionClass::kModem56k;
-  if (s == "dsl") return world::ConnectionClass::kDslCable;
-  if (s == "t1" || s == "lan") return world::ConnectionClass::kT1Lan;
-  return std::nullopt;
+world::Region parse_region(const std::string& s) {
+  for (int i = 0; i < world::kRegionCount; ++i) {
+    const auto region = static_cast<world::Region>(i);
+    if (world::region_name(region) == s) return region;
+  }
+  return world::Region::kUsEast;
 }
 
-std::optional<world::Region> parse_region(const std::string& s) {
-  const std::pair<const char*, world::Region> table[] = {
-      {"us-east", world::Region::kUsEast},
-      {"us-west", world::Region::kUsWest},
-      {"europe", world::Region::kEurope},
-      {"asia", world::Region::kAsia},
-      {"japan", world::Region::kJapan},
-      {"australia", world::Region::kAustralia},
-      {"s-america", world::Region::kSouthAmerica},
-      {"middle-east", world::Region::kMiddleEast},
-  };
-  for (const auto& [name, region] : table) {
-    if (s == name) return region;
-  }
-  return std::nullopt;
-}
+using util::FlagKind;
+
+// The play mode, then the spill-read mode.
+const util::CommandSpec kModes[] = {
+    {.flags = util::join({tools::kPlayFlags,
+                          {{"pc", FlagKind::kText, "CLASS"},
+                           {"region", FlagKind::kChoice,
+                            "us-east|us-west|europe|asia|japan|australia|"
+                            "s-america|middle-east"},
+                           {"live"},
+                           {"watch", FlagKind::kReal, "SEC", 0},
+                           {"samples"},
+                           tools::kTraceFlag,
+                           tools::kSeriesCsvFlag},
+                          tools::kSharedFlags})},
+    {.flags = {util::required({"spill-read", FlagKind::kPath, "PATH"}),
+               {"spill-record", FlagKind::kInt, "K", 0}}},
+};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::Args args(argc, argv, {"help", "live", "samples", "telemetry"});
+  const util::Args args(argc, argv, kModes);
   if (args.has("help")) {
-    std::cout << "usage: retracer [--connection modem|dsl|t1] [--pc <class>]"
-                 " [--region <name>] [--clip <0..97>] [--protocol auto|tcp]"
-                 " [--cc reno|cubic|bbr]"
-                 " [--live] [--watch <sec>] [--seed <n>] [--samples]"
-                 " [--trace <path>] [--telemetry]"
-                 " [--telemetry-interval-ms <n>] [--series-csv <path>]"
-                 " [--status-port <p> [--status-hold-ms <n>]]\n"
-                 "       retracer --spill-read <path> [--spill-record <k>]\n";
+    std::cout << util::usage("retracer", kModes);
     return 0;
   }
-  const auto unknown = args.unknown_flags(
-      {"connection", "pc", "region", "clip", "protocol", "cc", "watch", "seed",
-       "trace", "telemetry-interval-ms", "series-csv", "status-port",
-       "status-hold-ms", "spill-read", "spill-record"});
-  for (const auto& flag : unknown) {
-    std::cerr << "unknown flag " << flag << "\n";
-  }
-  if (!unknown.empty()) return 2;
+  const bool spill = args.has("spill-read");
+  if (!util::check_flags(args, kModes[spill ? 1 : 0], std::cerr)) return 2;
 
-  if (args.has("spill-read")) {
+  if (spill) {
     const std::string spill_path = args.get_or("spill-read", "");
-    if (spill_path.empty()) {
-      std::cerr << "--spill-read requires a file path\n";
-      return 2;
-    }
     const auto record_index = args.get_int("spill-record", 0);
-    if (record_index < 0) {
-      std::cerr << "--spill-record must be a non-negative integer (got "
-                << record_index << ")\n";
-      return 2;
-    }
-    if (!args.errors().empty()) {
-      for (const auto& err : args.errors()) std::cerr << err << "\n";
-      return 2;
-    }
     study::SpillReader reader;
     if (!reader.open(spill_path)) {
       std::cerr << reader.error() << "\n";
@@ -172,8 +131,7 @@ int main(int argc, char** argv) {
 
   tracer::TracerConfig tracer_cfg;
   tracer_cfg.live_content = args.has("live");
-  const auto flags = tools::parse_shared_flags(args, tracer_cfg);
-  if (!flags) return 2;
+  tools::apply_shared_flags(args, tracer_cfg);
   tracer_cfg.watch_duration =
       seconds_to_sim(args.get_double("watch", 60.0));
   const tracer::RealTracer tracer(catalog, graph, tracer_cfg);
@@ -181,63 +139,29 @@ int main(int argc, char** argv) {
   world::UserProfile user;
   user.country = "US";
   user.us_state = "MA";
-  const std::string region = args.get_or("region", "us-east");
-  const std::string connection = args.get_or("connection", "dsl");
-  const auto parsed_region = parse_region(region);
-  const auto parsed_connection = parse_connection(connection);
-  if (!parsed_region) {
-    std::cerr << "--region expects one of us-east|us-west|europe|asia|japan|"
-                 "australia|s-america|middle-east (got '" << region << "')\n";
-    return 2;
-  }
-  if (!parsed_connection) {
-    std::cerr << "--connection expects one of modem|dsl|t1 (got '"
-              << connection << "')\n";
-    return 2;
-  }
-  user.region = *parsed_region;
+  user.region = parse_region(args.get_or("region", "us-east"));
   user.group = world::UserRegionGroup::kUsCanada;
-  user.connection = *parsed_connection;
+  user.connection = tools::parse_connection(args.get_or("connection", "dsl"));
   user.pc_class = args.get_or("pc", "Pentium II / 128-256");
   user.isp_load_lo = 0.3;
   user.isp_load_hi = 0.6;
   user.seed = static_cast<std::uint64_t>(args.get_int("seed", 2001));
+  const auto playlist_index =
+      static_cast<std::size_t>(args.get_int("clip", 0));
+  const bool force_tcp = args.get_or("protocol", "auto") == "tcp";
 
-  const auto clip_arg = args.get_int("clip", 0);
-  if (clip_arg < 0 || static_cast<std::size_t>(clip_arg) >= catalog.size()) {
-    std::cerr << "--clip must be a playlist index in [0, "
-              << catalog.size() - 1 << "] (got " << clip_arg << ")\n";
-    return 2;
-  }
-  const auto playlist_index = static_cast<std::size_t>(clip_arg);
-  const std::string protocol = args.get_or("protocol", "auto");
-  if (protocol != "auto" && protocol != "tcp") {
-    std::cerr << "--protocol expects auto|tcp (got '" << protocol << "')\n";
-    return 2;
-  }
-  const bool force_tcp = protocol == "tcp";
-
-  if (!args.errors().empty()) {
-    for (const auto& err : args.errors()) std::cerr << err << "\n";
-    return 2;
-  }
-
-  obs::MetricsRegistry metrics;
-  obs::install_metrics(&metrics);
-  std::unique_ptr<obs::StatusServer> status_server;
-  if (!tools::start_status_server(*flags, &metrics, status_server)) return 2;
+  tools::StatusExporter status;
+  if (!status.start(args)) return 2;
   obs::metrics_gauge_set(obs::MetricGauge::kUsersPlanned, 1);
 
   const auto rec = tracer.run_single(
       user, playlist_index,
       user.seed * 7919 + playlist_index, force_tcp);
   study::feed_metrics(1, {&rec, 1});
-  if (status_server && flags->status_hold_ms > 0) {
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(flags->status_hold_ms));
-  }
 
-  if (!flags->trace_path.empty() && rec.obs.enabled) {
+  const std::string trace_path = args.get_or("trace", "");
+  const std::string series_csv = args.get_or("series-csv", "");
+  if (!trace_path.empty() && rec.obs.enabled) {
     obs::PlayTrack track;
     track.pid = static_cast<std::uint32_t>(user.id);
     track.tid = static_cast<std::uint32_t>(playlist_index);
@@ -248,21 +172,21 @@ int main(int argc, char** argv) {
                         rec.server_name.str();
     track.obs = &rec.obs;
     track.counters = study::chrome_counter_series(rec.series);
-    if (!obs::write_chrome_trace(flags->trace_path, {track})) {
-      std::cerr << "cannot write trace file: " << flags->trace_path << "\n";
+    if (!obs::write_chrome_trace(trace_path, {track})) {
+      std::cerr << "cannot write trace file: " << trace_path << "\n";
       return 2;
     }
-    std::cout << "trace:       " << flags->trace_path << " ("
+    std::cout << "trace:       " << trace_path << " ("
               << rec.obs.events.size() << " events)\n";
   }
-  if (!flags->series_csv.empty()) {
+  if (!series_csv.empty()) {
     try {
-      study::write_series_csv(flags->series_csv, {rec});
+      study::write_series_csv(series_csv, {rec});
     } catch (const std::exception& e) {
       std::cerr << "cannot write series CSV: " << e.what() << "\n";
       return 2;
     }
-    std::cout << "series:      " << flags->series_csv << " ("
+    std::cout << "series:      " << series_csv << " ("
               << rec.series.data.size() << " samples)\n";
   }
   if (rec.series.enabled) {

@@ -3,15 +3,15 @@
 // session, and dumps the control-protocol conversation plus per-second data
 // flow totals, as a monitoring box on the path would see them.
 //
-// Usage:
-//   rtspdump [--connection modem|dsl|t1] [--clip <0..97>] [--protocol auto|tcp]
-//            [--seed <n>] [--packets]   (--packets: every data packet too)
+// `rtspdump --help` prints its flags, rendered from the table below;
+// --packets dumps every data packet too.
 #include <iostream>
 #include <map>
 
 #include "client/real_player.h"
 #include "media/stream_wire.h"
 #include "server/real_server.h"
+#include "shared_flags.h"
 #include "study/study.h"
 #include "tracer/real_tracer.h"
 #include "util/args.h"
@@ -37,17 +37,14 @@ int run(const util::Args& args) {
   user.us_state = "MA";
   user.region = world::Region::kUsEast;
   user.group = world::UserRegionGroup::kUsCanada;
-  const std::string conn = args.get_or("connection", "dsl");
-  user.connection = conn == "modem" ? world::ConnectionClass::kModem56k
-                    : conn == "t1"  ? world::ConnectionClass::kT1Lan
-                                    : world::ConnectionClass::kDslCable;
+  user.connection = tools::parse_connection(args.get_or("connection", "dsl"));
   user.pc_class = "Pentium II / 128-256";
   user.isp_load_lo = 0.3;
   user.isp_load_hi = 0.5;
   user.seed = study_cfg.seed;
 
   const auto playlist_index =
-      static_cast<std::size_t>(args.get_int("clip", 0)) % catalog.size();
+      static_cast<std::size_t>(args.get_int("clip", 0));
   const auto& site =
       world::server_sites()[media::Catalog::site_of(
           catalog.clip(playlist_index).id())];
@@ -134,20 +131,18 @@ int run(const util::Args& args) {
   return 0;
 }
 
+const util::CommandSpec kCommand[] = {
+    {.flags = util::join({tools::kPlayFlags, {{"packets"}}})},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::Args args(argc, argv, {"help", "packets"});
+  const util::Args args(argc, argv, kCommand);
   if (args.has("help")) {
-    std::cout << "usage: rtspdump [--connection modem|dsl|t1] [--clip N]"
-                 " [--protocol auto|tcp] [--seed N] [--packets]\n";
+    std::cout << util::usage("rtspdump", kCommand);
     return 0;
   }
-  const auto unknown = args.unknown_flags(
-      {"connection", "clip", "protocol", "seed"});
-  for (const auto& flag : unknown) {
-    std::cerr << "unknown flag " << flag << "\n";
-  }
-  if (!unknown.empty()) return 2;
+  if (!util::check_flags(args, kCommand[0], std::cerr)) return 2;
   return run(args);
 }

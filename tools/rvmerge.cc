@@ -1,7 +1,6 @@
 // rvmerge — merge campaign shard outputs into one rollup (and one spill).
-//
-// Usage:
-//   rvmerge <shard-dir>... --out <dir> [--report]
+// `rvmerge --help` prints the flags of its two modes, rendered from the
+// table below.
 //
 // Each shard dir is a `realdata campaign --spill-dir` output: rollup.bin
 // (mergeable aggregate) plus records.spill (columnar raw records). Shards
@@ -13,15 +12,13 @@
 //
 // --report additionally prints the merged rollup's human-readable report.
 //
-// Status mode (no merge):
-//   rvmerge --status <heartbeat-dir> [--stale-after SEC]
-//
-// Renders a campaign-wide table from the shard heartbeat files written by
-// `realdata campaign --heartbeat-dir` (one row per shard: progress, rate,
-// heartbeat age, state). A heartbeat older than --stale-after (default 15 s)
-// is STALE while its pid is still alive and DEAD once the process is gone;
-// shards that never wrote a heartbeat show as MISSING. Exit status: 0 when
-// every shard is done or ok, 1 when any shard needs attention.
+// Status mode (--status DIR, no merge) renders a campaign-wide table from
+// the shard heartbeat files written by `realdata campaign --heartbeat-dir`
+// (one row per shard: progress, rate, heartbeat age, state). A heartbeat
+// older than --stale-after (default 15 s) is STALE while its pid is still
+// alive and DEAD once the process is gone; shards that never wrote a
+// heartbeat show as MISSING. Exit status: 0 when every shard is done or ok,
+// 1 when any shard needs attention.
 #include <filesystem>
 #include <iostream>
 #include <string>
@@ -38,19 +35,7 @@ namespace {
 int cmd_status(const rv::util::Args& args) {
   using namespace rv;
   const std::string dir = args.get_or("status", "");
-  if (dir.empty()) {
-    std::cerr << "--status requires a heartbeat directory\n";
-    return 2;
-  }
   const double stale_after = args.get_double("stale-after", 15.0);
-  if (args.has("stale-after") && !(stale_after > 0.0)) {
-    std::cerr << "--stale-after must be a positive number of seconds\n";
-    return 2;
-  }
-  if (!args.errors().empty()) {
-    for (const auto& err : args.errors()) std::cerr << err << "\n";
-    return 2;
-  }
   const auto heartbeats = obs::scan_heartbeats(dir);
   if (heartbeats.empty()) {
     std::cerr << "no heartbeat files under " << dir << "\n";
@@ -64,32 +49,30 @@ int cmd_status(const rv::util::Args& args) {
   return table.find("need attention") == std::string::npos ? 0 : 1;
 }
 
+using rv::util::FlagKind;
+
+// The merge mode, then the --status mode.
+const rv::util::CommandSpec kModes[] = {
+    {.operands = "SHARD-DIR...",
+     .flags = {rv::util::required({"out", FlagKind::kPath, "DIR"}),
+               {"report"}}},
+    {.flags = {rv::util::required({"status", FlagKind::kPath, "DIR"}),
+               {"stale-after", FlagKind::kReal, "SEC", 0}}},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace rv;
-  const util::Args args(argc, argv, {"help", "report"});
-  const auto unknown = args.unknown_flags({"out", "status", "stale-after"});
-  for (const auto& flag : unknown) {
-    std::cerr << "unknown flag " << flag << "\n";
-  }
-  if (!unknown.empty()) return 2;
-  if (args.has("status")) return cmd_status(args);
-  if (args.has("help") || args.positional().empty()) {
-    std::cout << "usage: rvmerge <shard-dir>... --out <dir> [--report]\n"
-                 "       rvmerge --status <heartbeat-dir> "
-                 "[--stale-after SEC]\n";
+  const util::Args args(argc, argv, kModes);
+  const bool status = args.has("status");
+  if (args.has("help") || (!status && args.positional().empty())) {
+    std::cout << util::usage("rvmerge", kModes);
     return args.has("help") ? 0 : 2;
   }
+  if (!util::check_flags(args, kModes[status ? 1 : 0], std::cerr)) return 2;
+  if (status) return cmd_status(args);
   const std::string out_dir = args.get_or("out", "");
-  if (out_dir.empty()) {
-    std::cerr << "--out requires a directory\n";
-    return 2;
-  }
-  if (!args.errors().empty()) {
-    for (const auto& err : args.errors()) std::cerr << err << "\n";
-    return 2;
-  }
 
   study::CampaignRollup merged;
   bool have_first = false;
