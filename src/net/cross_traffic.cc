@@ -14,17 +14,11 @@ CrossTrafficSource::CrossTrafficSource(Network& network, NodeId src,
       src_(src),
       dst_(dst),
       config_(config),
-      rng_(std::move(rng)),
-      timer_(network.simulator().add_timer(
-          [](void* self) {
-            auto* source = static_cast<CrossTrafficSource*>(self);
-            if (source->bursting_) {
-              source->emit_packet();
-            } else {
-              source->begin_burst();
-            }
-          },
-          this)) {
+      mean_on_us_(to_seconds(config.mean_on) * 1e6),
+      mean_off_us_(to_seconds(config.mean_off) * 1e6),
+      gap_(transmission_time(config.packet_bytes, config.burst_rate)),
+      max_jitter_(0.2 * static_cast<double>(gap_)),
+      rng_(std::move(rng)) {
   RV_CHECK_GT(config.packet_bytes, 0);
   shape_.src = src;
   shape_.dst = dst;
@@ -33,12 +27,7 @@ CrossTrafficSource::CrossTrafficSource(Network& network, NodeId src,
 }
 
 CrossTrafficSource::~CrossTrafficSource() {
-  network_.simulator().remove_timer(timer_);
-}
-
-void CrossTrafficSource::arm_in(SimTime delay) {
-  auto& sim = network_.simulator();
-  sim.arm_timer(timer_, sim.now() + delay, sim.reserve_seq());
+  if (out_ != nullptr) out_->detach(*this);
 }
 
 void CrossTrafficSource::start() {
@@ -55,40 +44,16 @@ void CrossTrafficSource::start() {
   RV_CHECK_EQ(joining, 1u)
       << "cross traffic needs exactly one link between nodes " << src_
       << " and " << dst_;
+  tx_ = transmission_time(config_.packet_bytes, out_->rate());
   // Start at a random point in the idle period so sources don't synchronise.
-  const auto first_delay = static_cast<SimTime>(
-      rng_.exponential(to_seconds(config_.mean_off) * 1e6));
-  arm_in(first_delay);
+  next_at_ = network_.simulator().now() +
+             static_cast<SimTime>(rng_.exponential(mean_off_us_));
+  out_->attach(*this);
 }
 
-void CrossTrafficSource::begin_burst() {
-  auto& sim = network_.simulator();
-  bursting_ = true;
-  const auto on_usec = static_cast<SimTime>(
-      rng_.exponential(to_seconds(config_.mean_on) * 1e6));
-  burst_end_ = sim.now() + on_usec;
-  emit_packet();
-}
-
-void CrossTrafficSource::emit_packet() {
-  auto& sim = network_.simulator();
-  if (sim.now() >= burst_end_) {
-    const auto off_usec = static_cast<SimTime>(
-        rng_.exponential(to_seconds(config_.mean_off) * 1e6));
-    bursting_ = false;
-    arm_in(off_usec);
-    return;
-  }
-  out_->send_background(shape_);
-  ++packets_emitted_;
-
-  // Next packet after the serialisation interval at burst_rate, jittered a
-  // little so packet trains don't phase-lock with the foreground flow.
-  const SimTime gap =
-      transmission_time(config_.packet_bytes, config_.burst_rate);
-  const auto jitter = static_cast<SimTime>(
-      rng_.uniform(0.0, 0.2 * static_cast<double>(gap)));
-  arm_in(gap + jitter);
+std::uint64_t CrossTrafficSource::packets_emitted() {
+  if (out_ != nullptr) out_->catch_up();
+  return packets_emitted_;
 }
 
 }  // namespace rv::net

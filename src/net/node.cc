@@ -8,12 +8,12 @@ namespace rv::net {
 
 void Node::set_route(NodeId dst, LinkDirection* out) {
   RV_CHECK(out != nullptr);
+  if (dst >= routes_.size()) routes_.resize(dst + 1, nullptr);
   routes_[dst] = out;
 }
 
 LinkDirection* Node::route_to(NodeId dst) const {
-  const auto it = routes_.find(dst);
-  return it == routes_.end() ? nullptr : it->second;
+  return dst < routes_.size() ? routes_[dst] : nullptr;
 }
 
 void Node::handle(std::unique_ptr<Packet> packet) {

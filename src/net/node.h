@@ -9,7 +9,7 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "net/link.h"
 #include "net/packet.h"
@@ -42,7 +42,7 @@ class Node {
  private:
   NodeId id_;
   std::string name_;
-  std::unordered_map<NodeId, LinkDirection*> routes_;
+  std::vector<LinkDirection*> routes_;  // by destination; null: no route
   std::function<void(Packet)> local_sink_;
   std::uint64_t no_route_drops_ = 0;
   std::uint64_t sink_drops_ = 0;

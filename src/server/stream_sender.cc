@@ -128,14 +128,8 @@ void StreamSender::send_frame_packets(const media::VideoFrame& frame) {
     meta->sent_at = sim_.now();
     const std::int32_t bytes = meta->payload_bytes;
     std::shared_ptr<const media::MediaPacketMeta> shared = std::move(meta);
-    // Remember for NAK repair.
-    repair_ring_.emplace(shared->seq, shared);
-    repair_order_.push_back(shared->seq);
-    while (repair_order_.size() > config_.repair_window) {
-      repair_ring_.erase(repair_order_.front());
-      repair_order_.pop_front();
-    }
-    channel_.send_media(shared, bytes);
+    remember_for_repair(shared);
+    channel_.send_media(std::move(shared), bytes);
     ++packets_sent_;
     ++frame_packets_sent_;
   }
@@ -227,12 +221,43 @@ void StreamSender::on_feedback(const media::FeedbackMeta& feedback) {
   }
 }
 
+void StreamSender::remember_for_repair(
+    std::shared_ptr<const media::MediaPacketMeta> meta) {
+  if (config_.repair_window == 0) return;
+  if (repair_ring_.size() < config_.repair_window) {
+    repair_ring_.push_back(std::move(meta));
+    return;
+  }
+  repair_ring_[repair_head_] = std::move(meta);
+  repair_head_ = (repair_head_ + 1) % repair_ring_.size();
+}
+
+const media::MediaPacketMeta* StreamSender::find_repair(
+    std::uint32_t seq) const {
+  // Binary search over the ring in seq order, oldest first.
+  const std::size_t n = repair_ring_.size();
+  const auto at = [&](std::size_t i) -> const media::MediaPacketMeta& {
+    return *repair_ring_[(repair_head_ + i) % n];
+  };
+  std::size_t lo = 0;
+  std::size_t hi = n;
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (at(mid).seq < seq) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo < n && at(lo).seq == seq ? &at(lo) : nullptr;
+}
+
 void StreamSender::on_repair_request(const media::RepairRequestMeta& request) {
   if (stopped_) return;
   for (const std::uint32_t seq : request.seqs) {
-    const auto it = repair_ring_.find(seq);
-    if (it == repair_ring_.end()) continue;
-    auto repair = std::make_shared<media::MediaPacketMeta>(*it->second);
+    const media::MediaPacketMeta* stored = find_repair(seq);
+    if (stored == nullptr) continue;
+    auto repair = std::make_shared<media::MediaPacketMeta>(*stored);
     repair->kind = media::MediaKind::kRepair;
     repair->sent_at = sim_.now();
     channel_.send_media(repair, repair->payload_bytes);

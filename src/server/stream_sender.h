@@ -11,9 +11,7 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -50,7 +48,7 @@ struct StreamSenderConfig {
   double backlog_switch_down_sec = 2.0;
   double backlog_switch_up_sec = 0.3;
   SimTime level_check_interval = msec(1000);
-  // Repair ring: how many recent packets can be re-sent on NAK.
+  // Repair ring: how many recent video packets can be re-sent on NAK.
   std::size_t repair_window = 512;
   bool surestream_enabled = true;
   bool svt_enabled = true;
@@ -137,10 +135,13 @@ class StreamSender {
   std::uint64_t packets_sent_ = 0;
   std::uint64_t repairs_sent_ = 0;
 
-  // Repair ring buffer: seq → packet meta.
-  std::map<std::uint32_t, std::shared_ptr<const media::MediaPacketMeta>>
-      repair_ring_;
-  std::deque<std::uint32_t> repair_order_;
+  // The last repair_window video packets, in a ring whose oldest entry is
+  // at repair_head_ once it is full. Seqs only increase, so the ring read
+  // from there is sorted by seq.
+  void remember_for_repair(std::shared_ptr<const media::MediaPacketMeta> meta);
+  const media::MediaPacketMeta* find_repair(std::uint32_t seq) const;
+  std::vector<std::shared_ptr<const media::MediaPacketMeta>> repair_ring_;
+  std::size_t repair_head_ = 0;
 };
 
 }  // namespace rv::server

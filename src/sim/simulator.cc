@@ -173,7 +173,11 @@ void Simulator::reset() {
   now_ = 0;
   next_seq_ = 1;
   executed_ = 0;
-  fired_ = 0;
+  pos_ = Key{};
+  fire_seq_ = 0;
+  next_order_ = 0;
+  passes_.clear();
+  ++log_epoch_;
   stop_requested_ = false;
   // Timer owners are per-play objects: drop every registration, and make
   // the ids handed out so far stale, so an owner that outlives the reset
@@ -183,12 +187,12 @@ void Simulator::reset() {
   ++lane_epoch_;
 }
 
-TimerId Simulator::add_timer(TimerFn fire, void* owner) {
+TimerId Simulator::add_timer(TimerFn fire, void* owner, TimerFn catch_up) {
   RV_CHECK(fire != nullptr);
   std::size_t i = 0;
   while (i < lane_timers_.size() && lane_timers_[i].fire != nullptr) ++i;
   if (i == lane_timers_.size()) lane_timers_.emplace_back();
-  lane_timers_[i] = LaneTimer{fire, owner};
+  lane_timers_[i] = LaneTimer{fire, catch_up, owner};
   return (static_cast<TimerId>(lane_epoch_) << 32) | i;
 }
 
@@ -197,13 +201,31 @@ void Simulator::remove_timer(TimerId id) {
   const auto i = static_cast<std::uint32_t>(id);
   RV_CHECK(i < lane_timers_.size() && lane_timers_[i].fire != nullptr)
       << "timer " << id << " is not registered";
-  if (lane_timers_[i].armed) {
-    std::erase_if(lane_, [i](const ArmedTimer& a) { return a.timer == i; });
-  }
+  disarm_timer(id);
   lane_timers_[i] = LaneTimer{};
 }
 
+void Simulator::disarm_timer(TimerId id) {
+  const auto i = static_cast<std::uint32_t>(id);
+  if (id >> 32 != lane_epoch_ || i >= lane_timers_.size() ||
+      !lane_timers_[i].armed) {
+    return;
+  }
+  std::erase_if(lane_, [i](const ArmedTimer& a) { return a.timer == i; });
+  lane_timers_[i].armed = false;
+}
+
+void Simulator::catch_up_all() {
+  for (std::size_t i = 0; i < lane_timers_.size(); ++i) {
+    const LaneTimer timer = lane_timers_[i];
+    if (timer.catch_up != nullptr) timer.catch_up(timer.owner);
+  }
+  passes_.clear();
+  ++log_epoch_;
+}
+
 bool Simulator::fire_next(unsigned __int128 limit) {
+  if (passes_.size() >= kPassLogLimit) catch_up_all();
   // Cancellation tombstones leave the heap only when they surface, so drop
   // them off the root before comparing it with the lane.
   while (heap_size_ > 0) {
@@ -215,7 +237,8 @@ bool Simulator::fire_next(unsigned __int128 limit) {
     heap_pop_root();
   }
   const unsigned __int128 heap_key = heap_size_ > 0 ? heap_[0].key : kNoKey;
-  const unsigned __int128 lane_key = lane_.empty() ? kNoKey : lane_.back().key;
+  const unsigned __int128 lane_key =
+      lane_.empty() ? kNoKey : lane_.back().key.at_tie;
   if (heap_key < lane_key) {
     if (heap_key > limit) return false;
     const HeapEntry e = heap_pop_root();
@@ -231,10 +254,7 @@ bool Simulator::fire_next(unsigned __int128 limit) {
     s.live = false;
     if (++s.gen == 0) s.gen = 1;
     --live_;
-    ++executed_;
-    now_ = e.at();
-    fired_ = e.key;
-    s.fn.invoke_and_clear();
+    fire_at(Key{e.key, 0}, [&s] { s.fn.invoke_and_clear(); });
     if (hot_slot_ == kNilSlot) {
       hot_slot_ = slot;
     } else {
@@ -242,24 +262,29 @@ bool Simulator::fire_next(unsigned __int128 limit) {
     }
     return true;
   }
-  // Keys are unique, so only an empty heap and lane tie here (at kNoKey).
+  // A real key never equals a virtual one, so only an empty heap and lane
+  // tie here (at kNoKey).
   if (lane_key > limit) return false;
-  const std::uint32_t i = lane_.back().timer;
+  const ArmedTimer armed = lane_.back();
   lane_.pop_back();
-  lane_timers_[i].armed = false;
-  ++executed_;
-  now_ = static_cast<SimTime>(lane_key >> 64);
-  fired_ = lane_key;
+  lane_timers_[armed.timer].armed = false;
   // Copied out: the callback may register timers and grow the registrations.
-  const LaneTimer timer = lane_timers_[i];
-  timer.fire(timer.owner);
+  const LaneTimer timer = lane_timers_[armed.timer];
+  fire_at(armed.key, [&timer] { timer.fire(timer.owner); });
   return true;
+}
+
+bool Simulator::step() {
+  const bool fired = fire_next(kLastKey);
+  catch_up_all();
+  return fired;
 }
 
 void Simulator::run() {
   while (!stop_requested_ && fire_next(kLastKey)) {
   }
   stop_requested_ = false;
+  catch_up_all();
 }
 
 void Simulator::run_until(SimTime deadline) {
@@ -268,14 +293,18 @@ void Simulator::run_until(SimTime deadline) {
   while (!stop_requested_ && fire_next(limit)) {
   }
   if (stop_requested_) {
-    // The clock and the has_fired watermark stay at the stopping event.
+    // The clock and position() stay at the stopping event.
     stop_requested_ = false;
+    catch_up_all();
     return;
   }
   now_ = deadline;
-  // Every key at or before the deadline whose seq is already taken counts
-  // as passed.
-  fired_ = key_of(deadline, (next_seq_ << kSlotBits) - 1);
+  // Every key at or before the deadline decided so far is passed, those
+  // the catch-up decides included. (A key decided after the run returns
+  // takes a seq first, so it is ahead.)
+  pos_ = Key{key_of(deadline, (next_seq_ << kSlotBits) - 1),
+             ~static_cast<unsigned __int128>(0)};
+  catch_up_all();
 }
 
 }  // namespace rv::sim

@@ -33,7 +33,7 @@ class PlaySampler {
   // `out` every `interval` (> 0) of sim-time, first tick one interval after
   // start(). `out` must outlive the sampler and have been reset to
   // link_count links. `network` may be null (no link columns sampled).
-  PlaySampler(sim::Simulator& sim, const net::Network* network,
+  PlaySampler(sim::Simulator& sim, net::Network* network,
               std::size_t link_count, Probe probe, Series* out,
               SimTime interval);
   ~PlaySampler();
@@ -60,7 +60,7 @@ class PlaySampler {
   void tick();
 
   sim::Simulator& sim_;
-  const net::Network* network_;
+  net::Network* network_;
   std::size_t link_count_;
   Probe probe_;
   Series* out_;

@@ -43,7 +43,7 @@ int bottleneck_link(const Series& series) {
   return best;
 }
 
-PlaySampler::PlaySampler(sim::Simulator& sim, const net::Network* network,
+PlaySampler::PlaySampler(sim::Simulator& sim, net::Network* network,
                          std::size_t link_count, Probe probe, Series* out,
                          SimTime interval)
     : sim_(sim),
@@ -126,7 +126,7 @@ void PlaySampler::sample_at(SimTime now) {
   for (std::size_t l = 0; l < link_count_; ++l) {
     auto& col = out_->links[l];
     if (network_ != nullptr && l < network_->link_count()) {
-      const net::Link& link = network_->link(l);
+      net::Link& link = network_->link(l);
       col.occupancy.push_back(link.max_queue_fill());
       col.drops.push_back(
           delta_u64(link.total_dropped(), last_link_drops_[l]));

@@ -142,6 +142,7 @@ namespace {
 std::string range(const char* open, const FlagSpec& flag) {
   if (!std::isfinite(flag.lo) && !std::isfinite(flag.hi)) return "";
   std::ostringstream os;
+  os.precision(15);  // whole bounds print whole: 86400000, not 8.64e+07
   os << " in " << open << flag.lo << ", " << flag.hi << "]";
   return os.str();
 }
@@ -191,9 +192,14 @@ bool check_flags(const Args& args, const CommandSpec& command,
     const auto row =
         std::find_if(command.flags.begin(), command.flags.end(),
                      [&](const FlagSpec& flag) { return flag.name == name; });
-    const std::string problem = row == command.flags.end()
-                                    ? "not a flag of this command (see --help)"
-                                    : rejection(*row, value);
+    std::string problem = row == command.flags.end()
+                              ? "not a flag of this command (see --help)"
+                              : rejection(*row, value);
+    if (problem.empty() && !row->needs.empty() &&
+        !args.has(std::string(row->needs))) {
+      problem = "given without --" + std::string(row->needs) +
+                ", which it only matters beside";
+    }
     if (!problem.empty()) {
       err << "--" << name << ": " << problem << "\n";
       ok = false;

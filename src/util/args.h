@@ -15,8 +15,9 @@
 // The tools declare their flags as a table instead: one FlagSpec row per
 // flag, and one CommandSpec per command listing the rows its code path
 // reads. The table names the valueless flags, check_flags() rejects any
-// other flag and any value its row's kind does not admit, and usage()
-// renders --help from the same rows.
+// other flag, any value its row's kind does not admit and any flag given
+// without the flag it only matters beside, and usage() renders --help from
+// the same rows.
 #pragma once
 
 #include <cstdint>
@@ -41,6 +42,11 @@ enum class FlagKind {
   kChoice,  // one of the '|'-separated words of `value`
 };
 
+// The upper bound of every duration row, in the row's unit: a day, so that
+// converting the value to SimTime cannot overflow.
+inline constexpr double kDayMs = 86'400'000;
+inline constexpr double kDaySec = 86'400;
+
 // One row of a flag table.
 struct FlagSpec {
   std::string_view name;  // without the leading "--"
@@ -49,11 +55,18 @@ struct FlagSpec {
   double lo = -std::numeric_limits<double>::infinity();
   double hi = std::numeric_limits<double>::infinity();
   bool required = false;
+  std::string_view needs = {};  // the flag this one only matters beside
 };
 
 // `flag`, which the command must be given.
 constexpr FlagSpec required(FlagSpec flag) {
   flag.required = true;
+  return flag;
+}
+
+// `flag`, which only matters beside `other` and is rejected without it.
+constexpr FlagSpec beside(FlagSpec flag, std::string_view other) {
+  flag.needs = other;
   return flag;
 }
 
@@ -121,8 +134,9 @@ std::optional<std::int64_t> parse_int(std::string_view text);
 std::optional<double> parse_double(std::string_view text);
 
 // Writes one line to `err` for each flag given that `command` does not
-// read, each required row missing, and each value its row's kind does not
-// admit (--help is always accepted). Returns whether there were none.
+// read, each required row missing, each value its row's kind does not
+// admit and each flag given without the flag its row needs (--help is
+// always accepted). Returns whether there were none.
 bool check_flags(const Args& args, const CommandSpec& command,
                  std::ostream& err);
 

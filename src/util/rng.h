@@ -23,13 +23,30 @@ class Rng {
 
   void reseed(std::uint64_t seed);
 
-  // Next raw 64-bit value.
-  std::uint64_t next_u64();
+  // Next raw 64-bit value. The hot draws are inline: background load makes
+  // one per packet.
+  std::uint64_t next_u64() {
+    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = rotl(state_[3], 45);
+    return result;
+  }
 
   // Uniform double in [0, 1).
-  double uniform();
+  double uniform() {
+    // 53 random mantissa bits — uniform in [0, 1).
+    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+  }
   // Uniform double in [lo, hi).
-  double uniform(double lo, double hi);
+  double uniform(double lo, double hi) {
+    RV_CHECK_LE(lo, hi);
+    return lo + (hi - lo) * uniform();
+  }
   // Uniform integer in [lo, hi] (inclusive).
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
   // Standard normal via Box–Muller (cached second value).
@@ -61,6 +78,10 @@ class Rng {
   Rng fork(std::string_view label);
 
  private:
+  static std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::array<std::uint64_t, 4> state_{};
   double cached_normal_ = 0.0;
   bool has_cached_normal_ = false;

@@ -396,7 +396,7 @@ SharedBottleneckOutcome run_shared_bottleneck(QueuePolicy policy) {
   out.client = conn.stats();
   if (accepted != nullptr) out.server = accepted->stats();
   for (std::size_t i = 0; i < net.link_count(); ++i) {
-    const Link& link = net.link(i);
+    Link& link = net.link(i);
     out.directions.push_back(link.direction_from(link.a()).stats());
     out.directions.push_back(link.direction_from(link.b()).stats());
   }
@@ -587,14 +587,17 @@ struct TwoHopOutcome {
 };
 
 // Two link directions in series, hop 0 at 8 Mbit/s feeding hop 1 at
-// 6 Mbit/s, each with a fault filter and a delay-jitter hook drawing their
-// own RNGs. Two self-rescheduling arrival chains put 1000-byte packets
-// (tx = 1000 us on hop 0) on a 500 us grid, mixed with other sizes and
-// background load on both hops, so arrivals tie with transmission ends at
-// equal microseconds on both sides of the done event's seq. After a
-// run_until, a burst is sent from outside any event before the rest runs.
+// 6 Mbit/s. `hooked` gives each a fault filter and a delay-jitter hook
+// drawing their own RNGs, so every transmit-done is a real-time event;
+// without them a done that only starts background load is computed when
+// the hop is next touched. Two self-rescheduling arrival chains put
+// 1000-byte packets (tx = 1000 us on hop 0) on a 500 us grid, mixed with
+// other sizes and background load on both hops, so arrivals tie with
+// transmission ends at equal microseconds on both sides of the done. After
+// a run_until, a burst is sent from outside any event before the rest runs.
 template <typename Dir>
-TwoHopOutcome run_two_hops(QueuePolicy policy, std::uint64_t seed) {
+TwoHopOutcome run_two_hops(QueuePolicy policy, std::uint64_t seed,
+                           bool hooked) {
   sim::Simulator sim;
   QueueConfig queue;
   queue.policy = policy;
@@ -607,6 +610,7 @@ TwoHopOutcome run_two_hops(QueuePolicy policy, std::uint64_t seed) {
   util::Rng fault_rng(seed + 1);
   util::Rng jitter_rng(seed + 2);
   for (Dir* hop : {&hop0, &hop1}) {
+    if (!hooked) break;
     hop->set_fault_filter([&](const Packet&, SimTime) {
       ++out.fault_draws;
       return fault_rng.bernoulli(0.02);
@@ -668,12 +672,15 @@ TwoHopOutcome run_two_hops(QueuePolicy policy, std::uint64_t seed) {
 }
 
 TEST(LinkDifferential, ReservedDoneMatchesAlwaysScheduledTransmitter) {
+  for (const bool hooked : {true, false}) {
   for (const QueuePolicy policy : {QueuePolicy::kDropTail, QueuePolicy::kRed}) {
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      SCOPED_TRACE(hooked ? "hooked" : "lazy");
       SCOPED_TRACE(policy == QueuePolicy::kRed ? "red" : "drop-tail");
       SCOPED_TRACE(seed);
-      const auto ref = run_two_hops<AlwaysScheduledLink>(policy, seed);
-      const auto now = run_two_hops<LinkDirection>(policy, seed);
+      const auto ref =
+          run_two_hops<AlwaysScheduledLink>(policy, seed, hooked);
+      const auto now = run_two_hops<LinkDirection>(policy, seed, hooked);
 
       EXPECT_EQ(ref.deliveries, now.deliveries);
       EXPECT_EQ(ref.queued, now.queued);
@@ -689,10 +696,11 @@ TEST(LinkDifferential, ReservedDoneMatchesAlwaysScheduledTransmitter) {
       EXPECT_EQ(ref.fault_draws, now.fault_draws);
       EXPECT_EQ(ref.jitter_draws, now.jitter_draws);
 
-      // The scenario exercises what it claims: overflow and fault drops on
-      // both hops, and fewer events for the same deliveries.
+      // The scenario exercises what it claims: overflow (and, hooked,
+      // fault) drops on both hops, and fewer events for the same
+      // deliveries.
       for (const LinkStats& hop : now.stats) {
-        EXPECT_GT(hop.packets_faulted, 0u);
+        EXPECT_EQ(hop.packets_faulted > 0, hooked);
         EXPECT_GT(hop.packets_dropped, hop.packets_faulted);
       }
       EXPECT_GT(now.deliveries.size(), 500u);
@@ -701,12 +709,14 @@ TEST(LinkDifferential, ReservedDoneMatchesAlwaysScheduledTransmitter) {
       EXPECT_LT(now.events_executed, ref.events_executed);
     }
   }
+  }
 }
 
-// CrossTrafficSource as it was before the timer lane: the same on/off
-// process and draws, but every arrival and burst start is a heap event
-// scheduled with schedule_in. It is the reference the lane source must
-// match. It also records its arrival times, so the test can count ties.
+// CrossTrafficSource as it was before its link pulled its arrivals: the
+// same on/off process and draws, but every arrival and burst start is a
+// heap event scheduled with schedule_in that puts background load on the
+// link in real time. It is the reference the lazy source must match. It
+// also records its arrival times, so the test can count ties.
 class HeapCrossTraffic {
  public:
   HeapCrossTraffic(Network& network, NodeId src, NodeId dst,
@@ -790,66 +800,97 @@ class HeapCrossTraffic {
 struct EmitterOutcome {
   // Every foreground delivery: (time, receiving node, packet id), in order.
   std::vector<std::tuple<SimTime, NodeId, std::uint64_t>> deliveries;
-  // What a sampler read off the loaded direction every kSamplePeriod:
-  // (time, queued bytes, packets sent, packets dropped, busy time, the
-  // link's fuller-direction fill), recorded whenever it changed.
+  // What a sampler read every kSamplePeriod, recorded whenever it changed:
+  // (time, r -> b's queued bytes, packets sent, packets dropped and busy
+  // time, the r-b link's fuller-direction fill, a -> r's queued bytes and
+  // packets sent).
   std::vector<std::tuple<SimTime, std::int64_t, std::uint64_t, std::uint64_t,
-                         SimTime, double>>
+                         SimTime, double, std::int64_t, std::uint64_t>>
       samples;
   std::vector<LinkStats> directions;  // a->b then b->a, for every link
   std::vector<std::uint64_t> emitted;
   std::uint64_t fault_draws = 0;
   std::uint64_t jitter_draws = 0;
   std::uint64_t events_executed = 0;
-  std::uint64_t events_pending = 0;
-  // Counted by the reference only: arrivals at a sample's microsecond, and
-  // arrivals at the microsecond of the same source's last transmit-done.
+  // Counted by the reference only: arrivals at a sample's microsecond,
+  // arrivals at the microsecond of the same source's last transmit-done,
+  // and foreground sends at the microsecond of an a -> r arrival or of the
+  // end of a foreground transmission on a -> r.
   std::uint64_t arrival_sample_ties = 0;
   std::uint64_t arrival_done_ties = 0;
+  std::uint64_t send_arrival_ties = 0;
+  std::uint64_t send_done_ties = 0;
 };
 
 constexpr SimTime kSamplePeriod = 10;
+constexpr SimTime kAccessDelay = msec(1);
 
 // Foreground packets a -> r -> b over an r -> b bottleneck that two cross
-// sources load, with a third source on the
-// reverse direction and a fourth on a -> r. The fourth bursts at a -> r's
-// own rate in 20 us packets, so a quarter of its arrivals (those with no
-// jitter) land in the microsecond its previous packet's transmission ends,
-// whose done seq that arrival's send took. The loaded direction has a
-// corruption fault filter and a delay-jitter hook, each counting its
-// draws, and a sampler reads its LinkStats and queue every 10 us, tying
-// with arrivals and transmit-dones at equal microseconds. After a
-// run_until, a burst is sent from outside any event before the rest runs.
+// sources load, with a third source on the reverse direction and two on
+// a -> r. The last bursts at a -> r's own rate in 20 us packets, so a
+// quarter of its arrivals (those with no jitter) land in the microsecond
+// its previous packet's transmission ends, and foreground sends on a
+// 100 us grid land on its arrivals and on transmission ends. A sampler
+// reads both loaded directions every 10 us, tying with arrivals and
+// transmit-dones at equal microseconds. A stop() ends the first run early,
+// and after a run_until a burst is sent from outside any event before the
+// rest runs.
+//
+// `hooked` puts a fault filter on both directions of the r-b link, drawing
+// one shared RNG inside a corruption window, and a delay-jitter hook on
+// r -> b, so every event of those two directions is real time; a -> r
+// stays lazy. Unhooked, every direction is lazy. The reference drives its
+// sources with heap events and makes every direction real time: it gives
+// each direction the hooks lack a delay-jitter hook that adds nothing and
+// draws nothing.
 template <typename Cross>
-EmitterOutcome run_emitters(QueuePolicy policy, std::uint64_t seed) {
+EmitterOutcome run_emitters(QueuePolicy policy, std::uint64_t seed,
+                            bool hooked) {
+  constexpr bool kReference = std::is_same_v<Cross, HeapCrossTraffic>;
   sim::Simulator sim;
   Network net(sim);
   const NodeId a = net.add_node("a");
   const NodeId r = net.add_node("r");
   const NodeId b = net.add_node("b");
-  net.add_link(a, r, mbps(20), msec(1));
   QueueConfig queue;
   queue.policy = policy;
   queue.capacity_bytes = 20'000;
   queue.red_weight = 0.05;
+  Link& access = net.add_link(a, r, mbps(20), kAccessDelay, queue);
   Link& bottleneck = net.add_link(r, b, mbps(4), msec(5), queue);
   net.compute_routes();
   net.node(b).set_local_sink([](Packet) {});
 
   EmitterOutcome out;
+  LinkDirection& uplink = access.direction_from(a);
   LinkDirection& loaded = bottleneck.direction_from(r);
   util::Rng fault_rng(seed + 1);
   util::Rng jitter_rng(seed + 2);
-  loaded.set_fault_filter([&](const Packet&, SimTime) {
-    ++out.fault_draws;
-    return fault_rng.bernoulli(0.02);
-  });
-  loaded.set_delay_jitter([&](SimTime) {
-    ++out.jitter_draws;
-    return static_cast<SimTime>(jitter_rng.uniform_int(0, 3) * 250);
-  });
+  if (hooked) {
+    const auto corrupt = [&](const Packet&, SimTime now) {
+      if (now < msec(200) || now >= msec(900)) return false;
+      ++out.fault_draws;
+      return fault_rng.bernoulli(0.08);
+    };
+    loaded.set_fault_filter(corrupt);
+    bottleneck.direction_from(b).set_fault_filter(corrupt);
+    loaded.set_delay_jitter([&](SimTime) {
+      ++out.jitter_draws;
+      return static_cast<SimTime>(jitter_rng.uniform_int(0, 3) * 250);
+    });
+  }
+  if constexpr (kReference) {
+    const auto nothing = [](SimTime) { return SimTime{0}; };
+    access.direction_from(a).set_delay_jitter(nothing);
+    access.direction_from(r).set_delay_jitter(nothing);
+    if (!hooked) loaded.set_delay_jitter(nothing);
+    bottleneck.direction_from(b).set_delay_jitter(nothing);
+  }
+  std::vector<SimTime> sends;
+  std::vector<SimTime> uplink_ends;  // a -> r transmission ends, foreground
   net.set_delivery_tap([&](const Packet& p, NodeId at, SimTime when) {
     out.deliveries.emplace_back(when, at, p.tcp.seq);
+    if (at == r) uplink_ends.push_back(when - kAccessDelay);
   });
 
   const auto config = [](BitsPerSec rate, SimTime on, SimTime off,
@@ -866,10 +907,12 @@ EmitterOutcome run_emitters(QueuePolicy policy, std::uint64_t seed) {
                        util::Rng(seed + 10));
   sources.emplace_back(net, r, b, config(mbps(2), msec(10), msec(40), 500),
                        util::Rng(seed + 11));
-  sources.emplace_back(net, b, r, config(mbps(1), msec(30), msec(30), 800),
+  sources.emplace_back(net, b, r, config(mbps(2), msec(30), msec(30), 800),
                        util::Rng(seed + 12));
-  sources.emplace_back(net, a, r, config(mbps(20), msec(2), msec(10), 50),
+  sources.emplace_back(net, a, r, config(mbps(10), msec(20), msec(20), 1000),
                        util::Rng(seed + 13));
+  sources.emplace_back(net, a, r, config(mbps(20), msec(2), msec(10), 50),
+                       util::Rng(seed + 14));
   for (Cross& source : sources) source.start();
 
   util::Rng script(seed);
@@ -877,90 +920,120 @@ EmitterOutcome run_emitters(QueuePolicy policy, std::uint64_t seed) {
   const auto send = [&] {
     Packet p = make_packet(a, b, script.uniform_int(0, 1) == 0 ? 1200 : 400);
     p.tcp.seq = next_id++;
+    sends.push_back(sim.now());
     net.send(std::move(p));
   };
   std::function<void()> chain = [&] {
     send();
-    const SimTime gaps[] = {0, 250, 500, 1000, 2000};
-    sim.schedule_in(gaps[script.uniform_int(0, 4)], chain);
+    const SimTime gaps[] = {0, 100, 300, 500, 1000, 2000};
+    sim.schedule_in(gaps[script.uniform_int(0, 5)], chain);
   };
   sim.schedule_at(0, chain);
   std::function<void()> sample = [&] {
-    const LinkStats& st = loaded.stats();
-    auto row = std::make_tuple(sim.now(), loaded.queued_bytes(),
-                               st.packets_sent, st.packets_dropped,
-                               st.busy_time, bottleneck.max_queue_fill());
+    // Copies, each read first on its direction: a stats() read must see the
+    // direction caught up by itself.
+    const LinkStats st = loaded.stats();
+    const LinkStats up = uplink.stats();
+    auto row = std::make_tuple(
+        sim.now(), loaded.queued_bytes(), st.packets_sent,
+        st.packets_dropped, st.busy_time, bottleneck.max_queue_fill(),
+        uplink.queued_bytes(), up.packets_sent);
     if (out.samples.empty() ||
         std::get<1>(out.samples.back()) != std::get<1>(row) ||
         std::get<2>(out.samples.back()) != std::get<2>(row) ||
-        std::get<3>(out.samples.back()) != std::get<3>(row)) {
+        std::get<3>(out.samples.back()) != std::get<3>(row) ||
+        std::get<6>(out.samples.back()) != std::get<6>(row) ||
+        std::get<7>(out.samples.back()) != std::get<7>(row)) {
       out.samples.push_back(row);
     }
     sim.schedule_in(kSamplePeriod, sample);
   };
   sim.schedule_at(0, sample);
+  sim.schedule_at(msec(350), [&] { sim.stop(); });
 
+  sim.run_until(msec(700));
+  EXPECT_EQ(sim.now(), msec(350));
   sim.run_until(msec(700));
   for (int i = 0; i < 5; ++i) send();
   sim.run_until(msec(1500));
 
   for (std::size_t i = 0; i < net.link_count(); ++i) {
-    const Link& link = net.link(i);
+    Link& link = net.link(i);
     out.directions.push_back(link.direction_from(link.a()).stats());
     out.directions.push_back(link.direction_from(link.b()).stats());
   }
-  for (const Cross& source : sources) {
-    out.emitted.push_back(source.packets_emitted());
-    if constexpr (std::is_same_v<Cross, HeapCrossTraffic>) {
+  for (Cross& source : sources) out.emitted.push_back(source.packets_emitted());
+  if constexpr (kReference) {
+    for (const Cross& source : sources) {
       for (const SimTime t : source.arrivals()) {
         out.arrival_sample_ties += t % kSamplePeriod == 0 ? 1 : 0;
       }
       out.arrival_done_ties += source.done_ties();
     }
+    const auto& arrivals = sources.back().arrivals();  // the a -> r source
+    std::sort(uplink_ends.begin(), uplink_ends.end());
+    for (const SimTime t : sends) {
+      out.send_arrival_ties +=
+          std::binary_search(arrivals.begin(), arrivals.end(), t) ? 1 : 0;
+      out.send_done_ties +=
+          std::binary_search(uplink_ends.begin(), uplink_ends.end(), t) ? 1
+                                                                        : 0;
+    }
   }
   out.events_executed = sim.events_executed();
-  out.events_pending = sim.pending_events();
   return out;
 }
 
-TEST(LinkDifferential, LaneCrossTrafficMatchesHeapScheduledEmitter) {
-  for (const QueuePolicy policy : {QueuePolicy::kDropTail, QueuePolicy::kRed}) {
-    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-      SCOPED_TRACE(policy == QueuePolicy::kRed ? "red" : "drop-tail");
-      SCOPED_TRACE(seed);
-      const auto ref = run_emitters<HeapCrossTraffic>(policy, seed);
-      const auto now = run_emitters<CrossTrafficSource>(policy, seed);
+TEST(LinkDifferential, LazyBackgroundMatchesHeapScheduledEmitter) {
+  for (const bool hooked : {false, true}) {
+    for (const QueuePolicy policy :
+         {QueuePolicy::kDropTail, QueuePolicy::kRed}) {
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        SCOPED_TRACE(hooked ? "hooked" : "lazy");
+        SCOPED_TRACE(policy == QueuePolicy::kRed ? "red" : "drop-tail");
+        SCOPED_TRACE(seed);
+        const auto ref = run_emitters<HeapCrossTraffic>(policy, seed, hooked);
+        const auto now =
+            run_emitters<CrossTrafficSource>(policy, seed, hooked);
 
-      EXPECT_EQ(ref.deliveries, now.deliveries);
-      EXPECT_EQ(ref.samples, now.samples);
-      ASSERT_EQ(ref.directions.size(), now.directions.size());
-      for (std::size_t i = 0; i < ref.directions.size(); ++i) {
-        SCOPED_TRACE(i);
-        EXPECT_EQ(ref.directions[i].packets_sent,
-                  now.directions[i].packets_sent);
-        EXPECT_EQ(ref.directions[i].packets_dropped,
-                  now.directions[i].packets_dropped);
-        EXPECT_EQ(ref.directions[i].packets_faulted,
-                  now.directions[i].packets_faulted);
-        EXPECT_EQ(ref.directions[i].bytes_sent, now.directions[i].bytes_sent);
-        EXPECT_EQ(ref.directions[i].busy_time, now.directions[i].busy_time);
+        EXPECT_EQ(ref.deliveries, now.deliveries);
+        EXPECT_EQ(ref.samples, now.samples);
+        ASSERT_EQ(ref.directions.size(), now.directions.size());
+        for (std::size_t i = 0; i < ref.directions.size(); ++i) {
+          SCOPED_TRACE(i);
+          EXPECT_EQ(ref.directions[i].packets_sent,
+                    now.directions[i].packets_sent);
+          EXPECT_EQ(ref.directions[i].packets_dropped,
+                    now.directions[i].packets_dropped);
+          EXPECT_EQ(ref.directions[i].packets_faulted,
+                    now.directions[i].packets_faulted);
+          EXPECT_EQ(ref.directions[i].bytes_sent,
+                    now.directions[i].bytes_sent);
+          EXPECT_EQ(ref.directions[i].busy_time, now.directions[i].busy_time);
+        }
+        EXPECT_EQ(ref.emitted, now.emitted);
+        EXPECT_EQ(ref.fault_draws, now.fault_draws);
+        EXPECT_EQ(ref.jitter_draws, now.jitter_draws);
+        // Background arrivals and the dones that start only background
+        // load take no kernel event.
+        EXPECT_LT(now.events_executed, ref.events_executed);
+
+        // The scenario exercises what it claims: every source emitted, the
+        // loaded direction overflowed (and, hooked, corrupted packets),
+        // foreground packets got through, and arrivals and transmission
+        // ends tied with samples and foreground sends.
+        for (const std::uint64_t n : now.emitted) EXPECT_GT(n, 0u);
+        const LinkStats& hot = now.directions[2];  // r -> b
+        EXPECT_EQ(hot.packets_faulted > 0, hooked);
+        EXPECT_EQ(now.directions[3].packets_faulted > 0, hooked);  // b -> r
+        EXPECT_GT(hot.packets_dropped, hot.packets_faulted);
+        EXPECT_GT(now.directions[0].packets_dropped, 0u);  // a -> r
+        EXPECT_GT(now.deliveries.size(), 500u);
+        EXPECT_GT(ref.arrival_sample_ties, 50u);
+        EXPECT_GT(ref.arrival_done_ties, 50u);
+        EXPECT_GT(ref.send_arrival_ties, 5u);
+        EXPECT_GT(ref.send_done_ties, 5u);
       }
-      EXPECT_EQ(ref.emitted, now.emitted);
-      EXPECT_EQ(ref.fault_draws, now.fault_draws);
-      EXPECT_EQ(ref.jitter_draws, now.jitter_draws);
-      EXPECT_EQ(ref.events_executed, now.events_executed);
-      EXPECT_EQ(ref.events_pending, now.events_pending);
-
-      // The scenario exercises what it claims: every source emitted, the
-      // loaded direction overflowed and corrupted packets, foreground
-      // packets got through, and arrivals tied with samples.
-      for (const std::uint64_t n : now.emitted) EXPECT_GT(n, 0u);
-      const LinkStats& hot = now.directions[2];  // r -> b
-      EXPECT_GT(hot.packets_faulted, 0u);
-      EXPECT_GT(hot.packets_dropped, hot.packets_faulted);
-      EXPECT_GT(now.deliveries.size(), 500u);
-      EXPECT_GT(ref.arrival_sample_ties, 50u);
-      EXPECT_GT(ref.arrival_done_ties, 50u);
     }
   }
 }

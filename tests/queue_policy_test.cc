@@ -157,7 +157,7 @@ TEST(LinkQueue, OccupancyShedsOnePacketPerTransmissionStart) {
     p.size_bytes = 1000;
     net.send(p);
   }
-  const LinkDirection& dir = link.direction_from(a);
+  LinkDirection& dir = link.direction_from(a);
   EXPECT_EQ(dir.queued_bytes(), 3000);
   sim.run_until(msec(8));  // packet 2's transmission starts exactly now
   EXPECT_EQ(dir.queued_bytes(), 2000);

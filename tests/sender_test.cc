@@ -214,6 +214,56 @@ TEST(StreamSender, RepairResendsFromRing) {
   EXPECT_EQ(sender.repairs_sent(), 2u);
 }
 
+// The repair window holds the last repair_window video packets: a NAK is
+// served for seqs inside it, its oldest and newest included, and for
+// nothing else: not a video seq it has dropped, not an audio seq (never
+// stored) and not a seq never sent.
+TEST(StreamSender, RepairWindowServesOnlyItsVideoPackets) {
+  sim::Simulator sim;
+  const auto clip = surestream_clip();
+  FakeChannel channel;
+  StreamSenderConfig cfg = quick_config();
+  cfg.repair_window = 32;
+  StreamSender sender(sim, clip, 1, channel, nullptr, cfg, util::Rng(1));
+  sender.start();
+  sim.run_until(sec(5));
+  std::vector<std::uint32_t> video;
+  std::vector<std::uint32_t> audio;
+  for (const auto& meta : channel.sent) {
+    if (meta->kind == media::MediaKind::kVideo) video.push_back(meta->seq);
+    if (meta->kind == media::MediaKind::kAudio) audio.push_back(meta->seq);
+  }
+  ASSERT_GT(video.size(), 40u);
+  ASSERT_FALSE(audio.empty());
+  const std::size_t n = video.size();
+  const std::uint32_t newest = video[n - 1];
+  const std::uint32_t oldest = video[n - 32];
+  const std::uint32_t inside = video[n - 16];
+  const std::uint32_t dropped = video[n - 33];
+  const std::uint32_t first = video[0];
+  // An audio seq sent between two video packets still in the window.
+  std::uint32_t audio_inside = 0;
+  for (const std::uint32_t seq : audio) {
+    if (seq > oldest && seq < newest) audio_inside = seq;
+  }
+
+  ASSERT_NE(audio_inside, 0u);
+
+  const auto before = channel.sent.size();
+  media::RepairRequestMeta nak;
+  nak.seqs = {inside, dropped, oldest, first,        newest + 1,
+              newest, audio.front(), audio_inside};
+  sender.on_repair_request(nak);
+  std::vector<std::uint32_t> repaired;
+  for (std::size_t i = before; i < channel.sent.size(); ++i) {
+    EXPECT_EQ(channel.sent[i]->kind, media::MediaKind::kRepair);
+    repaired.push_back(channel.sent[i]->seq);
+  }
+  EXPECT_EQ(repaired, (std::vector<std::uint32_t>{inside, oldest, newest}));
+  EXPECT_EQ(sender.repairs_sent(), 3u);
+  sender.stop();
+}
+
 TEST(StreamSender, DeepTcpBacklogPausesPumpAndSwitchesDown) {
   sim::Simulator sim;
   const auto clip = surestream_clip();

@@ -1,7 +1,7 @@
 // Differential test: the rewritten event kernel (pooled slots + 4-ary heap)
 // against a port of the original kernel (std::function events in a
 // std::priority_queue with an unordered_set of cancelled ids). Further down,
-// reserved seqs and the timer lane are each checked against an all-heap
+// virtual keys and the timer lane are each checked against an all-heap
 // replica of the same workload.
 //
 // The rewrite's contract is that event *order* is bit-identical: equal
@@ -359,7 +359,9 @@ class FnTimer {
   FnTimer(const FnTimer&) = delete;
   FnTimer& operator=(const FnTimer&) = delete;
 
-  void arm(SimTime at, std::uint64_t seq) { sim_.arm_timer(id_, at, seq); }
+  void arm(const Key& key) { sim_.arm_timer(id_, key); }
+  // Arms at the key of an event decided now.
+  void arm_at(SimTime at) { arm(sim_.virtual_key(at, sim_.position())); }
   TimerId id() const { return id_; }
 
  private:
@@ -370,19 +372,19 @@ class FnTimer {
   TimerId id_;
 };
 
-// Reserved seqs armed on lane timers. A workload like drive() above, in two
+// Virtual keys armed on lane timers. A workload like drive() above, in two
 // modes that differ only in how "late" events are scheduled: kScheduled
-// calls schedule_at when the event is decided on, kReserved takes the seq
-// then and arms a lane timer at it a few operations later, after other
-// (often co-timed) events have been scheduled. kUnarmed never arms the late
-// events at all, and late events only log, so it must match kScheduled with
-// the late fires removed, as long as no bare step() is taken: a step that
-// fires a late event in one mode fires the next plain event in the other.
+// calls schedule_at when the event is decided on, kReserved takes its
+// virtual key then and arms a lane timer at it a few operations later,
+// after other (often co-timed) events have been scheduled. kUnarmed never
+// arms the late events at all, and late events only log, so it must match
+// kScheduled with the late fires removed, as long as no bare step() is
+// taken: a step that fires a late event in one mode fires the next plain
+// event in the other.
 enum class LateMode { kScheduled, kReserved, kUnarmed };
 
 struct Late {
-  SimTime at;
-  std::uint64_t seq;
+  Key key;
   int label;
 };
 
@@ -403,7 +405,7 @@ std::vector<FireRecord> drive_reserved(std::uint32_t seed, LateMode mode,
             .emplace_back(sim, [&log, &sim, label] {
               log.push_back({label, sim.now()});
             })
-            .arm(late.at, late.seq);
+            .arm(late.key);
       }
     }
     unarmed.clear();
@@ -415,7 +417,7 @@ std::vector<FireRecord> drive_reserved(std::uint32_t seed, LateMode mode,
         log.push_back({label, sim.now()});
       });
     } else {
-      unarmed.push_back({at, sim.reserve_seq(), label});
+      unarmed.push_back({sim.virtual_key(at, sim.position()), label});
     }
   };
   // Plain events log and sometimes decide on a late event and more plain
@@ -488,64 +490,66 @@ TEST(ReservedEvents, UnarmedKeysLeaveEveryOtherEventInPlace) {
 
 TEST(ReservedEvents, HasFiredTracksTheLastFiredKey) {
   Simulator sim;
-  EXPECT_FALSE(sim.has_fired(0, 1));
+  EXPECT_FALSE(sim.passed(sim.virtual_key(0, sim.position())));
   std::vector<bool> seen;
-  const auto probe = [&](SimTime at, std::uint64_t seq) {
-    return [&sim, &seen, at, seq] { seen.push_back(sim.has_fired(at, seq)); };
-  };
-  std::uint64_t key_seq = 0;
-  sim.schedule_at(9, [&] { seen.push_back(sim.has_fired(10, key_seq)); });
-  sim.schedule_at(10, [&] { seen.push_back(sim.has_fired(10, key_seq)); });
-  key_seq = sim.reserve_seq();  // the key {10, key_seq}, never armed
-  sim.schedule_at(10, probe(10, key_seq));
-  sim.schedule_at(11, probe(10, key_seq));
+  Key key;
+  const auto probe = [&] { seen.push_back(sim.passed(key)); };
+  sim.schedule_at(9, probe);
+  sim.schedule_at(10, probe);
+  key = sim.virtual_key(10, sim.position());  // decided now, never armed
+  sim.schedule_at(10, probe);
+  sim.schedule_at(11, probe);
   sim.run();
-  // Before the key (earlier time; same time, earlier seq): not fired.
-  // After it (same time, later seq; later time): fired.
+  // Before the key (earlier time; same time, scheduled before it was
+  // decided): not passed. After it (same time, scheduled after it was
+  // decided; later time): passed.
   EXPECT_EQ(seen, (std::vector<bool>{false, false, true, true}));
 
-  // An armed key reads fired from inside its own event.
-  const std::uint64_t own = sim.reserve_seq();
-  FnTimer own_timer(sim, probe(12, own));
-  own_timer.arm(12, own);
+  // An armed key reads passed from inside its own event.
+  const Key own = sim.virtual_key(12, sim.position());
+  FnTimer own_timer(sim, [&] { seen.push_back(sim.passed(own)); });
+  own_timer.arm(own);
   sim.run();
   EXPECT_TRUE(seen.back());
+  EXPECT_EQ(sim.position(), own);
 
-  // run_until covers every taken key up to its deadline, even with no event
-  // left to fire, but not later keys nor keys reserved after it returns.
-  const std::uint64_t early = sim.reserve_seq();
-  const std::uint64_t at_deadline = sim.reserve_seq();
-  const std::uint64_t late = sim.reserve_seq();
+  // run_until passes every key decided so far up to its deadline, even with
+  // no event left to fire, but not later keys nor keys decided after it
+  // returns.
+  const Key early = sim.virtual_key(15, sim.position());
+  const Key at_deadline = sim.virtual_key(20, sim.position());
+  const Key late = sim.virtual_key(21, sim.position());
   sim.run_until(20);
-  EXPECT_TRUE(sim.has_fired(15, early));
-  EXPECT_TRUE(sim.has_fired(20, at_deadline));
-  EXPECT_FALSE(sim.has_fired(21, late));
-  const std::uint64_t after = sim.reserve_seq();
-  EXPECT_FALSE(sim.has_fired(20, after));
-  own_timer.arm(20, after);
+  EXPECT_TRUE(sim.passed(early));
+  EXPECT_TRUE(sim.passed(at_deadline));
+  EXPECT_FALSE(sim.passed(late));
+  const Key after = sim.virtual_key(20, sim.position());
+  EXPECT_FALSE(sim.passed(after));
+  own_timer.arm(after);
   EXPECT_EQ(sim.pending_events(), 1u);
 
   // reset forgets every passed key.
   sim.reset();
-  EXPECT_FALSE(sim.has_fired(15, early));
-  EXPECT_FALSE(sim.has_fired(0, 1));
-  EXPECT_EQ(sim.reserve_seq(), 1u);
+  EXPECT_FALSE(sim.passed(early));
+  EXPECT_EQ(sim.position(), Key{});
 }
 
 TEST(ReservedEvents, ArmingAPassedOrUnreservedKeyThrows) {
   Simulator sim;
   FnTimer timer(sim, [] {});
-  const std::uint64_t seq = sim.reserve_seq();
+  const Key early = sim.virtual_key(5, sim.position());
+  const Key at_deadline = sim.virtual_key(10, sim.position());
   sim.run_until(10);
-  EXPECT_THROW(timer.arm(5, seq), util::CheckError);
-  EXPECT_THROW(timer.arm(10, seq), util::CheckError);
+  EXPECT_THROW(timer.arm(early), util::CheckError);
+  EXPECT_THROW(timer.arm(at_deadline), util::CheckError);
 
-  // Same time as the firing event but an earlier seq: already passed.
-  const std::uint64_t tied = sim.reserve_seq();
+  // Same time as the firing event but decided before it was scheduled:
+  // already passed.
+  const Key tied = sim.virtual_key(12, sim.position());
   bool threw = false;
   sim.schedule_at(12, [&] {
     try {
-      timer.arm(12, tied);
+      timer.arm(tied);
     } catch (const util::CheckError&) {
       threw = true;
     }
@@ -553,9 +557,41 @@ TEST(ReservedEvents, ArmingAPassedOrUnreservedKeyThrows) {
   sim.run();
   EXPECT_TRUE(threw);
 
-  EXPECT_THROW(timer.arm(50, 0), util::CheckError);
-  EXPECT_THROW(timer.arm(50, 1000), util::CheckError);
+  // Keys virtual_key never made: a real key's shape, a tie above the seq
+  // counter.
+  Key real = sim.virtual_key(50, sim.position());
+  real.at_tie -= 1;
+  EXPECT_THROW(timer.arm(real), util::CheckError);
+  Key ahead = sim.virtual_key(50, sim.position());
+  ahead.at_tie += unsigned{1} << 24;
+  EXPECT_THROW(timer.arm(ahead), util::CheckError);
   EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+// A virtual event decided by a passed virtual parent sits where the parent
+// would have decided it: after every real event scheduled before the kernel
+// passed the parent, before every one scheduled after.
+TEST(ReservedEvents, AChildOfAPassedKeyTiesWhereItsParentWasPassed) {
+  Simulator sim;
+  std::vector<int> fired;
+  std::unique_ptr<FnTimer> timer;
+  // The parent at 5 was decided before the events at 5 and 8 were
+  // scheduled, so the kernel passed it before firing either of them.
+  const Key parent = sim.virtual_key(5, sim.position());
+  sim.schedule_at(5, [&] {
+    fired.push_back(1);
+    sim.schedule_at(8, [&] { fired.push_back(3); });
+  });
+  sim.schedule_at(8, [&] {
+    fired.push_back(2);
+    // Catching up now: the child at 8 goes after the event at 8 that was
+    // scheduled before the parent was passed (this one), and before the
+    // one the event at 5 scheduled.
+    timer = std::make_unique<FnTimer>(sim, [&] { fired.push_back(4); });
+    timer->arm(sim.virtual_key(8, parent));
+  });
+  sim.run();
+  EXPECT_EQ(fired, (std::vector<int>{1, 2, 4, 3}));
 }
 
 // stop(): a callback ends the running run()/run_until() once it returns.
@@ -649,22 +685,24 @@ TEST(Stop, ARequestBeforeARunEndsItAtOnceAndResetDropsIt) {
   EXPECT_EQ(sim.now(), 10);
 }
 
-// After a stopped run_until the has_fired watermark is the stopping event's
-// key, not the deadline's: keys after it are still ahead of the kernel.
+// After a stopped run_until position() is the stopping event's key, not the
+// deadline's: keys after it are still ahead of the kernel.
 TEST(Stop, AStoppedRunUntilLeavesTheWatermarkAtTheStoppingEvent) {
   Simulator sim;
+  const Key before = sim.virtual_key(7, sim.position());
   sim.schedule_at(7, [&] { sim.stop(); });
-  const std::uint64_t later = sim.reserve_seq();
+  const Key later = sim.virtual_key(7, sim.position());
+  const Key far = sim.virtual_key(30, sim.position());
   sim.run_until(50);
   EXPECT_EQ(sim.now(), 7);
-  EXPECT_TRUE(sim.has_fired(7, 1));
-  EXPECT_FALSE(sim.has_fired(7, later));
-  EXPECT_FALSE(sim.has_fired(30, later));
-  // So a key reserved before the stop can still be armed inside the
+  EXPECT_TRUE(sim.passed(before));
+  EXPECT_FALSE(sim.passed(later));
+  EXPECT_FALSE(sim.passed(far));
+  // So a key decided before the stop can still be armed inside the
   // deadline the stopped run never reached.
   bool armed_fired = false;
   FnTimer timer(sim, [&] { armed_fired = true; });
-  timer.arm(30, later);
+  timer.arm(far);
   sim.run_until(50);
   EXPECT_TRUE(armed_fired);
   EXPECT_EQ(sim.now(), 50);
@@ -673,8 +711,8 @@ TEST(Stop, AStoppedRunUntilLeavesTheWatermarkAtTheStoppingEvent) {
 // The timer lane against an all-heap replica. Actors own at most one
 // pending event each, like a link direction's transmit-done or a cross-
 // traffic source's next arrival. In kHeap mode an actor schedules a heap
-// event when it decides on one; in kLane mode it takes the seq then and
-// arms its lane timer, sometimes only after the deciding event has
+// event when it decides on one; in kLane mode it takes its virtual key
+// then and arms its lane timer, sometimes only after the deciding event has
 // scheduled other (often co-timed) heap events. Plain heap events schedule,
 // cancel, wake idle actors and stop the run; actors re-arm themselves. The
 // workload mixes run_until, step, run, stop and one reset, after which the
@@ -698,21 +736,20 @@ class Actor {
   Actor& operator=(const Actor&) = delete;
 
   bool idle() const { return !pending_ && !decided_; }
-  // Decides on the actor's next event at `at`: the seq is taken now.
+  // Decides on the actor's next event at `at`: its key is taken now.
   void decide(SimTime at) {
     decided_ = true;
     if (mode_ == Lane::kHeap) {
       sim_.schedule_at(at, [this] { fire(this); });
     } else {
-      at_ = at;
-      seq_ = sim_.reserve_seq();
+      key_ = sim_.virtual_key(at, sim_.position());
     }
   }
   // Arms what decide() took; a no-op for the heap replica.
   void commit() {
     decided_ = false;
     pending_ = true;
-    if (mode_ == Lane::kTimers) sim_.arm_timer(timer_, at_, seq_);
+    if (mode_ == Lane::kTimers) sim_.arm_timer(timer_, key_);
   }
 
  private:
@@ -733,8 +770,7 @@ class Actor {
   int index_;
   std::vector<FireRecord>& log_;
   TimerId timer_ = 0;
-  SimTime at_ = 0;
-  std::uint64_t seq_ = 0;
+  Key key_;
   int fires_ = 0;
   bool pending_ = false;
   bool decided_ = false;
@@ -864,8 +900,8 @@ TEST(TimerLane, CountsAsPendingAndExecutedAndSetsTheClock) {
   std::vector<SimTime> fired;
   FnTimer timer(sim, [&] { fired.push_back(sim.now()); });
   EXPECT_EQ(sim.pending_events(), 0u);
-  timer.arm(40, sim.reserve_seq());
-  EXPECT_THROW(timer.arm(50, sim.reserve_seq()), util::CheckError);
+  timer.arm_at(40);
+  EXPECT_THROW(timer.arm_at(50), util::CheckError);
   sim.schedule_at(40, [&] { fired.push_back(-sim.now()); });
   EXPECT_EQ(sim.pending_events(), 2u);
   EXPECT_EQ(sim.heap_size(), 1u);
@@ -879,7 +915,7 @@ TEST(TimerLane, CountsAsPendingAndExecutedAndSetsTheClock) {
 
   // A timer armed past a run_until deadline stays pending, and one armed
   // at the deadline fires.
-  timer.arm(70, sim.reserve_seq());
+  timer.arm_at(70);
   sim.run_until(69);
   EXPECT_EQ(sim.pending_events(), 1u);
   sim.run_until(70);
@@ -897,15 +933,15 @@ TEST(TimerLane, StopFromATimerLeavesTheRestPending) {
     sim.stop();
   });
   FnTimer later(sim, [&] { fired.push_back(3); });
-  stopper.arm(10, sim.reserve_seq());
+  stopper.arm_at(10);
   sim.schedule_at(10, [&] { fired.push_back(2); });  // co-timed, later seq
-  later.arm(10, sim.reserve_seq());
+  later.arm_at(10);
   sim.run_until(100);
   EXPECT_EQ(fired, (std::vector<int>{1}));
   EXPECT_EQ(sim.now(), 10);
   EXPECT_EQ(sim.pending_events(), 2u);
   // The stopping timer can be armed again at once, before the rest.
-  stopper.arm(10, sim.reserve_seq());
+  stopper.arm_at(10);
   sim.run();
   EXPECT_EQ(fired, (std::vector<int>{1, 2, 3, 1}));
   sim.run();
@@ -926,10 +962,10 @@ TEST(TimerLane, RemoveAndResetDropTimers) {
     ++fired;
     at.push_back(sim.now());
   });
-  last.arm(9, sim.reserve_seq());
-  a->arm(5, sim.reserve_seq());
-  mid->arm(7, sim.reserve_seq());
-  b.arm(6, sim.reserve_seq());
+  last.arm_at(9);
+  a->arm_at(5);
+  mid->arm_at(7);
+  b.arm_at(6);
   EXPECT_EQ(sim.pending_events(), 4u);
   a.reset();  // the owner dies with its timer armed, the next to fire
   mid.reset();  // and one armed between two others
@@ -941,13 +977,13 @@ TEST(TimerLane, RemoveAndResetDropTimers) {
   // A freed lane entry is reused; ids from before a reset are stale.
   FnTimer c(sim, [&] { ++fired; });
   EXPECT_NE(c.id(), b.id());
-  c.arm(12, sim.reserve_seq());
+  c.arm_at(12);
   sim.reset();
   EXPECT_EQ(sim.pending_events(), 0u);
-  EXPECT_THROW(c.arm(1, sim.reserve_seq()), util::CheckError);
+  EXPECT_THROW(c.arm_at(1), util::CheckError);
   FnTimer d(sim, [&] { ++fired; });
   EXPECT_NE(d.id(), c.id());
-  d.arm(3, sim.reserve_seq());
+  d.arm_at(3);
   sim.remove_timer(b.id());  // stale: leaves d alone
   sim.run();
   EXPECT_EQ(fired, 3);

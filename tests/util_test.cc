@@ -557,6 +557,37 @@ TEST(FlagTable, RequiredRowMustBeGiven) {
   EXPECT_TRUE(passes({"t", "merge", "a", "b", "--into", "m"}, 1));
 }
 
+TEST(FlagTable, FlagGivenWithoutTheFlagItNeedsIsRejected) {
+  const util::CommandSpec traced[] = {
+      {"run",
+       "",
+       {{"trace", util::FlagKind::kPath, "PATH"},
+        util::beside({"trace-play", util::FlagKind::kText, "U,P"}, "trace"),
+        {"status-port", util::FlagKind::kInt, "P", 0, 65535},
+        util::beside({"status-hold-ms", util::FlagKind::kInt, "N", 0, 10},
+                     "status-port")}}};
+  const auto run = [&](std::initializer_list<const char*> argv) {
+    std::vector<const char*> v(argv);
+    const util::Args args(static_cast<int>(v.size()), v.data(), traced);
+    std::ostringstream err;
+    const bool ok = util::check_flags(args, traced[0], err);
+    return std::make_pair(ok, err.str());
+  };
+  EXPECT_TRUE(run({"t", "run", "--trace", "t.json", "--trace-play", "1,2"})
+                  .first);
+  EXPECT_TRUE(run({"t", "run", "--trace", "t.json"}).first);
+  const auto [ok, err] = run({"t", "run", "--trace-play", "1,2"});
+  EXPECT_FALSE(ok);
+  EXPECT_EQ(err,
+            "--trace-play: given without --trace, which it only matters "
+            "beside\n");
+  // A value the row rejects is reported as such, not as the missing flag.
+  EXPECT_EQ(run({"t", "run", "--status-hold-ms", "11"}).second,
+            "--status-hold-ms: expects an integer in [0, 10], got '11'\n");
+  EXPECT_TRUE(
+      run({"t", "run", "--status-port", "0", "--status-hold-ms", "10"}).first);
+}
+
 TEST(FlagTable, BareFlagBeforeAPositionalTakesNoValue) {
   const std::vector<const char*> argv = {"t", "--faults", "run", "--help",
                                          "x"};

@@ -400,7 +400,8 @@ const std::vector<FlagSpec> kRunFlags =
                  {"seed", FlagKind::kInt, "N"},
                  {"threads", FlagKind::kInt, "N", 0, 1024},
                  {"faults"},
-                 {"outage-scale", FlagKind::kReal, "X"},
+                 util::beside({"outage-scale", FlagKind::kReal, "X"},
+                              "faults"),
                  {"profile"}},
                 tools::kSharedFlags});
 
@@ -409,7 +410,8 @@ const std::vector<FlagSpec> kStudyFlags =
     util::join({kRunFlags,
                 {{"cache-dir", FlagKind::kPath, "DIR"},
                  tools::kTraceFlag,
-                 {"trace-play", FlagKind::kText, "U,P"},
+                 util::beside({"trace-play", FlagKind::kText, "U,P"},
+                              "trace"),
                  tools::kSeriesCsvFlag,
                  {"flight-dir", FlagKind::kPath, "DIR"}}});
 
@@ -435,7 +437,7 @@ const util::CommandSpec kCommands[] = {
                   {"spill-dir", FlagKind::kPath, "DIR"},
                   {"rollup-out", FlagKind::kPath, "PATH"},
                   {"chunk-users", FlagKind::kInt, "N", 1},
-                  {"watch", FlagKind::kReal, "SEC", 0},
+                  {"watch", FlagKind::kReal, "SEC", 0, util::kDaySec},
                   {"heartbeat-dir", FlagKind::kPath, "DIR"}}})},
 };
 

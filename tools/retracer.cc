@@ -52,7 +52,8 @@ const util::CommandSpec kModes[] = {
                             "us-east|us-west|europe|asia|japan|australia|"
                             "s-america|middle-east"},
                            {"live"},
-                           {"watch", FlagKind::kReal, "SEC", 0},
+                           {"watch", FlagKind::kReal, "SEC", 0,
+                            util::kDaySec},
                            {"samples"},
                            tools::kTraceFlag,
                            tools::kSeriesCsvFlag},

@@ -57,7 +57,8 @@ const rv::util::CommandSpec kModes[] = {
      .flags = {rv::util::required({"out", FlagKind::kPath, "DIR"}),
                {"report"}}},
     {.flags = {rv::util::required({"status", FlagKind::kPath, "DIR"}),
-               {"stale-after", FlagKind::kReal, "SEC", 0}}},
+               {"stale-after", FlagKind::kReal, "SEC", 0,
+                rv::util::kDaySec}}},
 };
 
 }  // namespace

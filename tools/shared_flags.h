@@ -25,9 +25,10 @@ using util::FlagKind;
 inline const std::vector<util::FlagSpec> kSharedFlags = {
     {"cc", FlagKind::kChoice, "reno|cubic|bbr"},
     {"telemetry"},
-    {"telemetry-interval-ms", FlagKind::kInt, "N", 1},
+    {"telemetry-interval-ms", FlagKind::kInt, "N", 1, util::kDayMs},
     {"status-port", FlagKind::kInt, "P", 0, 65535},
-    {"status-hold-ms", FlagKind::kInt, "N", 0}};
+    util::beside({"status-hold-ms", FlagKind::kInt, "N", 0, util::kDayMs},
+                 "status-port")};
 inline constexpr util::FlagSpec kTraceFlag{"trace", FlagKind::kPath, "PATH"};
 inline constexpr util::FlagSpec kSeriesCsvFlag{"series-csv", FlagKind::kPath,
                                                "PATH"};
