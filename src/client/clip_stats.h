@@ -16,6 +16,8 @@ struct SecondSample {
   double t_seconds = 0.0;           // since PLAY
   BitsPerSec bandwidth = 0.0;       // received over the last second
   double frame_rate = 0.0;          // frames played over the last second
+
+  bool operator==(const SecondSample&) const = default;
 };
 
 struct ClipStats {
@@ -49,6 +51,8 @@ struct ClipStats {
   std::int64_t repairs_received = 0;
 
   std::vector<SecondSample> samples;    // 1 Hz time series (Fig 1)
+
+  bool operator==(const ClipStats&) const = default;
 };
 
 }  // namespace rv::client

@@ -59,7 +59,6 @@ class PlayoutEngine {
   // and late-arrival handling).
   SimTime playout_position() const { return play_pos_; }
   std::int64_t frames_played() const { return frames_played_; }
-  SimTime playout_wall_start() const { return wall_start_; }
   bool playout_started() const { return playout_started_; }
   // Media seconds currently buffered ahead of the playout position
   // (telemetry's buffer-depth probe; also feeds preroll/rebuffer decisions).

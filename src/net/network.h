@@ -1,6 +1,7 @@
 // The network: a graph of nodes and links with static shortest-path routing.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -11,6 +12,13 @@
 #include "sim/simulator.h"
 
 namespace rv::net {
+
+// Observation tap (mmdump-style [MCCS00]): called for every packet as it is
+// delivered off a link, with the receiving node. Passive: the packet
+// continues unmodified. Cross traffic is background load that is never
+// delivered, so a tap sees foreground packets only.
+using DeliveryTap =
+    std::function<void(const Packet& packet, NodeId at_node, SimTime when)>;
 
 class Network {
  public:
@@ -48,13 +56,7 @@ class Network {
   // may outlive the Network.
   void send(Packet packet);
 
-  // Observation tap (mmdump-style [MCCS00]): called for every packet as it
-  // is delivered off a link, with the receiving node. Passive — the packet
-  // continues unmodified. Cross traffic is background load that is never
-  // delivered, so the tap sees foreground packets only. One tap at a time;
-  // pass nullptr to clear.
-  using DeliveryTap =
-      std::function<void(const Packet& packet, NodeId at_node, SimTime when)>;
+  // Installs the tap (above). One tap at a time; pass nullptr to clear.
   void set_delivery_tap(DeliveryTap tap) { tap_ = std::move(tap); }
 
  private:

@@ -4,20 +4,6 @@
 
 namespace rv::rtsp {
 
-std::string_view session_state_name(SessionState s) {
-  switch (s) {
-    case SessionState::kInit:
-      return "Init";
-    case SessionState::kReady:
-      return "Ready";
-    case SessionState::kPlaying:
-      return "Playing";
-    case SessionState::kTornDown:
-      return "TornDown";
-  }
-  return "?";
-}
-
 std::string Session::id_string() const {
   std::ostringstream os;
   os << std::hex << id_;

@@ -14,8 +14,6 @@ namespace rv::rtsp {
 
 enum class SessionState { kInit, kReady, kPlaying, kTornDown };
 
-std::string_view session_state_name(SessionState s);
-
 class Session {
  public:
   explicit Session(std::uint64_t id) : id_(id) {}
@@ -28,13 +26,9 @@ class Session {
   // state; illegal methods leave the state unchanged.
   bool apply(Method method);
 
-  const TransportSpec& transport() const { return transport_; }
-  void set_transport(const TransportSpec& t) { transport_ = t; }
-
  private:
   std::uint64_t id_;
   SessionState state_ = SessionState::kInit;
-  TransportSpec transport_;
 };
 
 }  // namespace rv::rtsp

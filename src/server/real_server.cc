@@ -283,7 +283,6 @@ void RealServerApp::destroy_session(std::uint64_t id) {
   if (it->second->sender) {
     it->second->sender->stop();
     finished_level_switches_ += it->second->sender->level_switches();
-    finished_frames_thinned_ += it->second->sender->frames_thinned();
     finished_frame_packets_sent_ += it->second->sender->frame_packets_sent();
   }
   sessions_.erase(it);
@@ -293,14 +292,6 @@ std::uint64_t RealServerApp::total_level_switches() const {
   std::uint64_t total = finished_level_switches_;
   for (const auto& [_, ctx] : sessions_) {
     if (ctx->sender) total += ctx->sender->level_switches();
-  }
-  return total;
-}
-
-std::uint64_t RealServerApp::total_frames_thinned() const {
-  std::uint64_t total = finished_frames_thinned_;
-  for (const auto& [_, ctx] : sessions_) {
-    if (ctx->sender) total += ctx->sender->frames_thinned();
   }
   return total;
 }

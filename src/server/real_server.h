@@ -53,7 +53,6 @@ class RealServerApp {
   }
 
   net::NodeId node_id() const { return mux_.node_id(); }
-  std::size_t active_sessions() const { return sessions_.size(); }
 
   // Introspection for tests/benches: the most recently created session's
   // sender (nullptr when none).
@@ -72,7 +71,6 @@ class RealServerApp {
   // Aggregate SureStream switches across all sessions, including finished
   // ones.
   std::uint64_t total_level_switches() const;
-  std::uint64_t total_frames_thinned() const;
   std::uint64_t total_frame_packets_sent() const;
 
   // URL for a clip on this server.
@@ -116,7 +114,6 @@ class RealServerApp {
   std::uint64_t next_session_id_ = 1;
   std::uint64_t last_session_id_ = 0;
   std::uint64_t finished_level_switches_ = 0;
-  std::uint64_t finished_frames_thinned_ = 0;
   std::uint64_t finished_frame_packets_sent_ = 0;
   std::set<std::uint32_t> unavailable_;
 };

@@ -89,7 +89,6 @@ class StreamSender {
   std::uint64_t frame_packets_sent() const { return frame_packets_sent_; }
   std::uint64_t packets_sent() const { return packets_sent_; }
   std::uint64_t repairs_sent() const { return repairs_sent_; }
-  double estimated_rtt_seconds() const { return rtt_sec_; }
 
  private:
   void pump();                 // paced send loop

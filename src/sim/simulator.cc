@@ -1,56 +1,24 @@
 #include "sim/simulator.h"
 
-#include <cstring>
-#include <new>
-#include <utility>
-
 #include "util/check.h"
 
 namespace rv::sim {
 namespace {
 
 // 4-ary heap: shallower than binary (log4 vs log2 levels) and the four
-// 16-byte keys of a sibling group share a cache line, which is what makes
-// sift-down cheap on the timer-churn workloads that dominate the study.
+// 16-byte keys of a sibling group are 64 contiguous bytes, which is what
+// makes sift-down cheap on the timer-churn workloads that dominate the study.
 // (8-ary was measured and lost: the wider scan costs more than the saved
 // level.)
 constexpr std::size_t kArity = 4;
 
 }  // namespace
 
-Simulator::~Simulator() {
-  ::operator delete[](heap_, std::align_val_t{64});
-  // A freed slot always holds a null EventFn (cleared on fire / cancel), so
-  // with no events pending every slot destructor is a no-op and the sweep —
-  // a read per slot across the whole pool — can be skipped outright. Only a
-  // simulator torn down with timers still armed pays for the walk.
-  if (live_ == 0) return;
-  for (std::size_t i = 0; i < slot_count_; ++i) {
-    slot_ref(static_cast<std::uint32_t>(i)).~Slot();
-  }
-}
-
-void Simulator::heap_reserve(std::size_t cap) {
-  if (cap <= heap_cap_) return;
-  std::size_t ncap = heap_cap_ ? heap_cap_ : 64;
-  while (ncap < cap) ncap *= 2;
-  auto* nbuf = static_cast<HeapEntry*>(
-      ::operator new[](ncap * sizeof(HeapEntry), std::align_val_t{64}));
-  if (heap_size_ > 0) {
-    std::memcpy(nbuf, heap_, heap_size_ * sizeof(HeapEntry));
-  }
-  ::operator delete[](heap_, std::align_val_t{64});
-  heap_ = nbuf;
-  heap_cap_ = ncap;
-}
-
 void Simulator::heap_push(HeapEntry entry) {
-  if (__builtin_expect(heap_size_ >= heap_cap_, 0)) {
-    heap_reserve(heap_size_ + 1);
-  }
   // Hole-based sift-up: parents slide down into the hole; the new entry is
   // written exactly once.
-  std::size_t i = heap_size_++;
+  std::size_t i = heap_.size();
+  heap_.emplace_back();
   while (i > 0) {
     const std::size_t parent = (i - 1) / kArity;
     if (!earlier(entry, heap_[parent])) break;
@@ -61,10 +29,10 @@ void Simulator::heap_push(HeapEntry entry) {
 }
 
 Simulator::HeapEntry Simulator::heap_pop_root() {
-  const HeapEntry root = heap_[0];
-  const HeapEntry last = heap_[heap_size_ - 1];
-  --heap_size_;
-  const std::size_t n = heap_size_;
+  const HeapEntry root = heap_.front();
+  const HeapEntry last = heap_.back();
+  heap_.pop_back();
+  const std::size_t n = heap_.size();
   if (n == 0) return root;
   // Hole-based sift-down of `last` from the root.
   std::size_t i = 0;
@@ -106,41 +74,18 @@ void Simulator::release_slot(std::uint32_t slot) {
   s.seq_slot = 0;
   s.live = false;
   if (++s.gen == 0) s.gen = 1;  // generation 0 is reserved for invalid ids
-  if (hot_slot_ == kNilSlot) {
-    hot_slot_ = slot;
-  } else {
-    free_slots_.push_back(slot);
-  }
+  free_slots_.push_back(slot);
   --live_;
 }
 
-std::uint32_t Simulator::grow_chunk() {
+std::uint32_t Simulator::new_slot() {
   RV_CHECK_LT(slot_count_, kSlotMask) << "slot space exhausted";
-  // Raw (uninitialised) chunk; slots are placement-constructed as first
-  // used (in acquire_slot), so a mostly-idle simulator never touches the
-  // tail.
-  chunks_.emplace_back(new unsigned char[kChunkSize * sizeof(Slot)]);
-  chunk0_ = chunks_.front().get();
-  free_slots_.reserve(chunks_.size() * kChunkSize);
-  heap_reserve(chunks_.size() * kChunkSize);
-  const auto slot = static_cast<std::uint32_t>(slot_count_++);
-  ::new (static_cast<void*>(&slot_ref(slot))) Slot();
-  return slot;
-}
-
-EventId Simulator::schedule_at(SimTime at, EventFn&& fn) {
-  RV_CHECK_GE(at, now_) << "cannot schedule into the past";
-  RV_CHECK(fn != nullptr);
-  RV_CHECK_LT(next_seq_, kSeqLimit) << "sequence space exhausted";
-  const std::uint32_t slot = acquire_slot();
-  Slot& s = slot_ref(slot);
-  s.fn = std::move(fn);
-  return arm_slot(at, next_seq_++, slot, s);
-}
-
-EventId Simulator::schedule_in(SimTime delay, EventFn&& fn) {
-  RV_CHECK_GE(delay, 0);
-  return schedule_at(now_ + delay, std::move(fn));
+  const std::size_t chunk = slot_count_ >> kChunkShift;
+  // A chunk is reserved once and never holds more than kChunkSize slots, so
+  // its slots never move.
+  if (chunk == chunks_.size()) chunks_.emplace_back().reserve(kChunkSize);
+  chunks_[chunk].emplace_back();
+  return static_cast<std::uint32_t>(slot_count_++);
 }
 
 void Simulator::cancel(EventId id) {
@@ -157,18 +102,15 @@ void Simulator::cancel(EventId id) {
 }
 
 void Simulator::reset() {
-  // Destroy every constructed slot (releasing any pending callbacks and
-  // their captures) and let acquire_slot placement-construct them again on
-  // demand: generations restart at 1 and the free list restarts empty,
-  // matching a fresh simulator exactly. Chunks and the heap buffer stay
-  // allocated, so the next play schedules into warm memory.
-  for (std::size_t i = 0; i < slot_count_; ++i) {
-    slot_ref(static_cast<std::uint32_t>(i)).~Slot();
-  }
+  // Destroy every slot (releasing any pending callbacks and their
+  // captures) and let new_slot build them again on demand: generations
+  // restart at 1 and the free list restarts empty, matching a fresh
+  // simulator exactly. The chunks and the heap keep their capacity, so the
+  // next play schedules into warm memory.
+  for (auto& chunk : chunks_) chunk.clear();
   slot_count_ = 0;
   free_slots_.clear();
-  heap_size_ = 0;
-  hot_slot_ = kNilSlot;
+  heap_.clear();
   live_ = 0;
   now_ = 0;
   next_seq_ = 1;
@@ -228,7 +170,7 @@ bool Simulator::fire_next(unsigned __int128 limit) {
   if (passes_.size() >= kPassLogLimit) catch_up_all();
   // Cancellation tombstones leave the heap only when they surface, so drop
   // them off the root before comparing it with the lane.
-  while (heap_size_ > 0) {
+  while (!heap_.empty()) {
     const std::uint64_t root = heap_[0].seq_slot();
     if (slot_ref(static_cast<std::uint32_t>(root & kSlotMask)).seq_slot ==
         root) {
@@ -236,7 +178,7 @@ bool Simulator::fire_next(unsigned __int128 limit) {
     }
     heap_pop_root();
   }
-  const unsigned __int128 heap_key = heap_size_ > 0 ? heap_[0].key : kNoKey;
+  const unsigned __int128 heap_key = heap_.empty() ? kNoKey : heap_[0].key;
   const unsigned __int128 lane_key =
       lane_.empty() ? kNoKey : lane_.back().key.at_tie;
   if (heap_key < lane_key) {
@@ -246,8 +188,8 @@ bool Simulator::fire_next(unsigned __int128 limit) {
     Slot& s = slot_ref(slot);
     // Retire the id first — a self-cancel from inside the callback is stale,
     // matching the original pop-then-fire kernel — then fire in place:
-    // chunked slots never move, even when the callback schedules new events
-    // and grows the pool. The slot joins the free list only after the
+    // slots never move, even when the callback schedules new events and
+    // adds a chunk. The slot joins the free list only after the
     // callback returns, so nested scheduling cannot reuse it mid-flight.
     // (s.seq_slot keeps its stale value: sequence numbers are unique and
     // this entry was just popped, so no pending entry can match it.)
@@ -255,11 +197,7 @@ bool Simulator::fire_next(unsigned __int128 limit) {
     if (++s.gen == 0) s.gen = 1;
     --live_;
     fire_at(Key{e.key, 0}, [&s] { s.fn.invoke_and_clear(); });
-    if (hot_slot_ == kNilSlot) {
-      hot_slot_ = slot;
-    } else {
-      free_slots_.push_back(slot);
-    }
+    free_slots_.push_back(slot);
     return true;
   }
   // A real key never equals a virtual one, so only an empty heap and lane

@@ -25,20 +25,22 @@
 // array beside the heap whose minimum step() merges with the heap root.
 //
 // Layout: callbacks live in pooled slots (recycled via a free list) and the
-// heap holds only the 16-byte keys, so sifting never moves a closure and
-// events fire in place — the callback is invoked inside its slot, never
-// copied or moved out. Slots are stored in fixed-size chunks with stable
-// addresses, so pool growth never relocates a pending callback (even when
-// the callback itself schedules and grows the pool). An EventId encodes
-// {generation, slot}; cancellation bumps the slot's generation, instantly
-// invalidating the heap entry, which is skipped as a tombstone when it
-// surfaces. Cancelling an already-fired or stale id compares generations and
-// is a true no-op — no per-cancel state accumulates (the old kernel leaked
-// an unordered_set entry per stale cancel).
+// heap, a vector of 16-byte keys, holds no closure, so sifting never moves
+// one and events fire in place: the callback is invoked inside its slot,
+// never copied or moved out. Slots are kept in chunks, vectors each reserved
+// once to kChunkSize and filled by emplace_back, so a slot is built on first
+// use and never moves, even when the firing callback schedules enough events
+// to add a chunk. An EventId encodes {generation, slot}; cancellation bumps
+// the slot's generation, instantly invalidating the heap entry, which is
+// skipped as a tombstone when it surfaces. Cancelling an already-fired or
+// stale id compares generations and is a true no-op — no per-cancel state
+// accumulates (the old kernel leaked an unordered_set entry per stale
+// cancel).
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sim/event_fn.h"
@@ -88,37 +90,30 @@ inline constexpr Key kNever{~static_cast<unsigned __int128>(0),
 class Simulator {
  public:
   Simulator() = default;
-  ~Simulator();
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
   SimTime now() const { return now_; }
 
-  // Schedules `fn` to run at absolute time `at` (>= now).
-  EventId schedule_at(SimTime at, EventFn&& fn);
-  // Schedules `fn` to run `delay` from now.
-  EventId schedule_in(SimTime delay, EventFn&& fn);
-
-  // Fast-path overloads: a raw callable is forwarded and constructed
-  // directly inside its event slot — no temporary EventFn, no move of the
-  // closure. Call sites passing lambdas bind here; passing an EventFn
-  // rvalue still takes the overloads above.
-  template <typename F, typename D = std::decay_t<F>,
-            typename = std::enable_if_t<!std::is_same_v<D, EventFn> &&
-                                        !std::is_same_v<D, std::nullptr_t> &&
-                                        std::is_invocable_r_v<void, D&>>>
+  // Schedules `f` to run at absolute time `at` (>= now). The callable is
+  // constructed directly inside its event slot.
+  template <typename F, typename = std::enable_if_t<
+                            std::is_invocable_r_v<void, std::decay_t<F>&>>>
   EventId schedule_at(SimTime at, F&& f) {
     RV_CHECK_GE(at, now_) << "cannot schedule into the past";
     RV_CHECK_LT(next_seq_, kSeqLimit) << "sequence space exhausted";
     const std::uint32_t slot = acquire_slot();
     Slot& s = slot_ref(slot);
     s.fn = std::forward<F>(f);
-    return arm_slot(at, next_seq_++, slot, s);
+    s.seq_slot = (next_seq_++ << kSlotBits) | slot;
+    s.live = true;
+    heap_push(HeapEntry{key_of(at, s.seq_slot)});
+    ++live_;
+    return make_id(s.gen, slot);
   }
-  template <typename F, typename D = std::decay_t<F>,
-            typename = std::enable_if_t<!std::is_same_v<D, EventFn> &&
-                                        !std::is_same_v<D, std::nullptr_t> &&
-                                        std::is_invocable_r_v<void, D&>>>
+  // Schedules `f` to run `delay` from now.
+  template <typename F, typename = std::enable_if_t<
+                            std::is_invocable_r_v<void, std::decay_t<F>&>>>
   EventId schedule_in(SimTime delay, F&& f) {
     RV_CHECK_GE(delay, 0);
     return schedule_at(now_ + delay, std::forward<F>(f));
@@ -226,8 +221,8 @@ class Simulator {
 
   // Returns the simulator to its just-constructed state — clock at zero, no
   // pending events, sequence counter and slot generations back at their
-  // initial values — while keeping the slot chunks and the heap buffer
-  // allocated. Pending callbacks are destroyed (their captures released)
+  // initial values — while keeping the capacity of the slot chunks and the
+  // heap. Pending callbacks are destroyed (their captures released)
   // exactly as the destructor would. After reset the simulator is
   // observationally indistinguishable from a fresh one, so per-worker
   // contexts can reuse it across plays without perturbing results; only the
@@ -260,12 +255,13 @@ class Simulator {
   // (per-play sim_events counter).
   std::uint64_t events_executed() const { return executed_; }
 
-  // Introspection for tests and benches: total slots ever allocated (bounded
-  // by the peak number of simultaneously pending events, regardless of how
-  // many events are scheduled or cancelled over a run) and raw heap entries
-  // (live events plus not-yet-surfaced cancellation tombstones).
+  // Introspection for tests and benches: slots built since construction or
+  // the last reset (bounded by the peak number of simultaneously pending
+  // events, regardless of how many events are scheduled or cancelled) and
+  // raw heap entries (live events plus not-yet-surfaced cancellation
+  // tombstones).
   std::size_t slot_capacity() const { return slot_count_; }
-  std::size_t heap_size() const { return heap_size_; }
+  std::size_t heap_size() const { return heap_.size(); }
 
  private:
   // 16-byte heap entry, a single 128-bit key: timestamp in the high 64 bits,
@@ -317,24 +313,14 @@ class Simulator {
     return a.key < b.key;
   }
 
-  // Slot storage: fixed-size chunks of raw memory, never relocated, with
-  // Slots placement-constructed one at a time as the pool's high-water mark
-  // rises. Stable addresses let events fire in place and callbacks grow the
-  // pool mid-fire; constructing lazily means a fresh Simulator costs two
-  // small allocations, not an 80 KB chunk initialisation.
+  // Slot storage: chunks of kChunkSize slots (see Layout above).
   static constexpr std::size_t kChunkShift = 10;
   static constexpr std::size_t kChunkSize = std::size_t{1} << kChunkShift;
   static constexpr std::size_t kChunkMask = kChunkSize - 1;
 
-  Slot& slot_ref(std::uint32_t slot) const {
-    if (__builtin_expect(slot < kChunkSize, 1)) {
-      return *(reinterpret_cast<Slot*>(chunk0_) + slot);
-    }
-    return *(reinterpret_cast<Slot*>(chunks_[slot >> kChunkShift].get()) +
-             (slot & kChunkMask));
+  Slot& slot_ref(std::uint32_t slot) {
+    return chunks_[slot >> kChunkShift][slot & kChunkMask];
   }
-
-  static constexpr std::uint32_t kNilSlot = 0xffffffffu;  // empty hot_slot_
 
   // Fires the next event, heap or lane, if its key is at or before
   // `limit`; false when there is none.
@@ -377,46 +363,16 @@ class Simulator {
 
   void heap_push(HeapEntry entry);
   HeapEntry heap_pop_root();
-  void heap_reserve(std::size_t cap);
   void release_slot(std::uint32_t slot);
 
-  // Slot acquisition: the free-list pop (steady state) and the high-water
-  // bump within an existing chunk (pool warm-up) stay inline; only a new
-  // chunk allocation goes out of line.
+  // A free slot, else a new one (adding a chunk when the last is full).
   std::uint32_t acquire_slot() {
-    // One-deep cache in front of the free list: the slot freed by the event
-    // that is firing right now is typically re-acquired by the reschedule it
-    // performs, skipping the vector round trip entirely.
-    if (hot_slot_ != kNilSlot) {
-      const std::uint32_t slot = hot_slot_;
-      hot_slot_ = kNilSlot;
-      return slot;
-    }
-    if (!free_slots_.empty()) {
-      const std::uint32_t slot = free_slots_.back();
-      free_slots_.pop_back();
-      return slot;
-    }
-    if (__builtin_expect(slot_count_ < chunks_.size() * kChunkSize, 1)) {
-      const auto slot = static_cast<std::uint32_t>(slot_count_++);
-      ::new (static_cast<void*>(&slot_ref(slot))) Slot();
-      return slot;
-    }
-    return grow_chunk();
+    if (free_slots_.empty()) return new_slot();
+    const std::uint32_t slot = free_slots_.back();
+    free_slots_.pop_back();
+    return slot;
   }
-  std::uint32_t grow_chunk();
-
-  // Second half of scheduling, after the callable is in the slot: record
-  // the {seq, slot} key, push the heap entry, hand back the
-  // {generation, slot} id.
-  EventId arm_slot(SimTime at, std::uint64_t seq, std::uint32_t slot,
-                   Slot& s) {
-    s.seq_slot = (seq << kSlotBits) | slot;
-    s.live = true;
-    heap_push(HeapEntry{key_of(at, s.seq_slot)});
-    ++live_;
-    return make_id(s.gen, slot);
-  }
+  std::uint32_t new_slot();
 
   // Hot scalars first: every event touches most of these.
   SimTime now_ = 0;
@@ -429,18 +385,9 @@ class Simulator {
   // The counter as the firing event began, 0 between events.
   std::uint64_t fire_seq_ = 0;
   std::uint64_t next_order_ = 0;  // virtual keys decided, for their ranks
-  // First slot chunk, cached raw: slot_ref resolves slots < kChunkSize (the
-  // steady state of every real play) with one load instead of two.
-  unsigned char* chunk0_ = nullptr;
-  std::uint32_t hot_slot_ = kNilSlot;  // one-deep slot free-list cache
-  // The heap is a flat 64-byte-aligned buffer managed by hand (push keeps
-  // the capacity check off the hot path as an expect-false branch; growth
-  // is a plain memcpy since HeapEntry is trivially copyable).
-  HeapEntry* heap_ = nullptr;
-  std::size_t heap_size_ = 0;
-  std::size_t heap_cap_ = 0;
-  std::size_t slot_count_ = 0;  // constructed slots (pool high-water mark)
-  std::vector<std::unique_ptr<unsigned char[]>> chunks_;
+  std::vector<HeapEntry> heap_;
+  std::size_t slot_count_ = 0;  // built slots (pool high-water mark)
+  std::vector<std::vector<Slot>> chunks_;
   std::vector<std::uint32_t> free_slots_;
 
   // The timer lane: the armed timers' keys, latest first, so the next to

@@ -42,8 +42,6 @@ double Summary::sample_variance() const {
   return m2_ / static_cast<double>(count_ - 1);
 }
 
-double Summary::sample_stddev() const { return std::sqrt(sample_variance()); }
-
 double Summary::min() const {
   RV_CHECK_GT(count_, 0u);
   return min_;
@@ -71,12 +69,6 @@ double mean_of(std::span<const double> xs) {
   Summary s;
   s.add_all(xs);
   return s.mean();
-}
-
-double stddev_of(std::span<const double> xs) {
-  Summary s;
-  s.add_all(xs);
-  return s.stddev();
 }
 
 double fraction_below(std::span<const double> xs, double threshold) {

@@ -21,9 +21,8 @@ class Summary {
   // estimate, so population form is the right default.
   double variance() const;
   double stddev() const;
-  // Sample (n-1) variants.
+  // Sample (n-1) variance.
   double sample_variance() const;
-  double sample_stddev() const;
   double min() const;
   double max() const;
   double sum() const { return count_ == 0 ? 0.0 : mean_ * count_; }
@@ -41,7 +40,6 @@ class Summary {
 double quantile(std::span<const double> xs, double q);
 
 double mean_of(std::span<const double> xs);
-double stddev_of(std::span<const double> xs);
 
 // Fraction of values strictly below `threshold`.
 double fraction_below(std::span<const double> xs, double threshold);

@@ -97,7 +97,8 @@ void RealTracer::access_plan_add(const world::UserProfile& user,
 TraceRecord RealTracer::run_session(
     PlayContext& ctx, const world::UserProfile& user,
     std::size_t playlist_index, std::uint64_t play_seed, bool force_tcp,
-    const faults::PlayFaults* play_faults, bool observe) const {
+    const faults::PlayFaults* play_faults, bool observe,
+    net::DeliveryTap tap) const {
   TraceRecord rec = base_record(user, catalog_, playlist_index);
   // Install a sink for the whole session so every hook below
   // (path, server, client, faults) records into this play. Purely
@@ -121,6 +122,7 @@ TraceRecord RealTracer::run_session(
   // Declared before the server and the player, so it outlives both.
   world::PlayPath path = world::PathBuilder(graph_, config_.path)
                              .build(sim, user, access, site, rng);
+  if (tap) path.network->set_delivery_tap(std::move(tap));
   path.start_cross_traffic();
 
   server::RealServerConfig server_cfg;
@@ -252,7 +254,8 @@ TraceRecord RealTracer::run_single(const world::UserProfile& user,
                                    std::size_t playlist_index,
                                    std::uint64_t play_seed,
                                    bool force_tcp,
-                                   const faults::PlayFaults* play_faults) const {
+                                   const faults::PlayFaults* play_faults,
+                                   net::DeliveryTap tap) const {
   PlayContext ctx;
   // Standalone plays have no per-user play index; the playlist index
   // doubles as the --trace-play match key.
@@ -260,7 +263,7 @@ TraceRecord RealTracer::run_single(const world::UserProfile& user,
       static_cast<std::uint32_t>(user.id),
       static_cast<std::uint32_t>(playlist_index));
   return run_session(ctx, user, playlist_index, play_seed, force_tcp,
-                     play_faults, observe);
+                     play_faults, observe, std::move(tap));
 }
 
 void RealTracer::plan_user(const world::UserProfile& user,

@@ -10,6 +10,7 @@
 #include "faults/injector.h"
 #include "faults/schedule.h"
 #include "media/catalog.h"
+#include "net/network.h"
 #include "server/real_server.h"
 #include "telemetry/series.h"
 #include "tracer/play_plan.h"
@@ -126,11 +127,14 @@ class RealTracer {
 
   // Runs a single play and returns its record (used by Fig 1 and the
   // ablation benches). `udp_blocked`/`force_tcp` override the user profile;
-  // `play_faults` (optional) injects this play's faults.
+  // `play_faults` (optional) injects this play's faults. `tap` (optional)
+  // watches the play's network; it is passive, so the record is the same
+  // with or without it.
   TraceRecord run_single(const world::UserProfile& user,
                          std::size_t playlist_index, std::uint64_t play_seed,
                          bool force_tcp = false,
-                         const faults::PlayFaults* play_faults = nullptr) const;
+                         const faults::PlayFaults* play_faults = nullptr,
+                         net::DeliveryTap tap = nullptr) const;
 
   // The per-site outage schedules (empty unless mechanistic unavailability
   // is enabled). Exposed for calibration tests and benches.
@@ -140,12 +144,12 @@ class RealTracer {
   // The streaming-session core shared by run_single and run_play: resets
   // ctx.sim, builds the play's path, and simulates one play. `observe`
   // installs a trace sink for the play and snapshots it into the record's
-  // obs member.
+  // obs member; `tap`, when set, is installed on the play's network.
   TraceRecord run_session(PlayContext& ctx, const world::UserProfile& user,
                           std::size_t playlist_index, std::uint64_t play_seed,
                           bool force_tcp,
-                          const faults::PlayFaults* play_faults,
-                          bool observe) const;
+                          const faults::PlayFaults* play_faults, bool observe,
+                          net::DeliveryTap tap = nullptr) const;
 
   const media::Catalog& catalog_;
   const world::RegionGraph& graph_;

@@ -68,9 +68,8 @@ void TransportMux::deliver(net::Packet packet) {
   const auto wit = wildcard_.find({packet.proto, packet.dst_port});
   if (wit != wildcard_.end()) {
     wit->second->on_packet(std::move(packet));
-    return;
   }
-  ++unmatched_;  // closed ports
+  // A packet for a closed port is dropped.
 }
 
 }  // namespace rv::transport

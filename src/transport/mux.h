@@ -48,8 +48,6 @@ class TransportMux {
   // Stamps the source node and transmits.
   void send(net::Packet packet);
 
-  std::uint64_t unmatched_packets() const { return unmatched_; }
-
  private:
   void deliver(net::Packet packet);
 
@@ -62,7 +60,6 @@ class TransportMux {
   std::map<WildcardKey, PacketSink*> wildcard_;
   std::map<ConnectedKey, PacketSink*> connected_;
   net::Port next_ephemeral_ = 49152;
-  std::uint64_t unmatched_ = 0;
 };
 
 }  // namespace rv::transport

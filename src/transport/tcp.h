@@ -120,7 +120,6 @@ class TcpConnection : public PacketSink {
   }
   // Backend state as a small integer (BbrCC::State; 0 for Reno/CUBIC).
   int cc_state() const { return cc_->state_code(); }
-  const char* cc_name() const { return cc_->name(); }
   std::int64_t flight_bytes() const { return flight_size(); }
   bool in_fast_recovery() const { return in_recovery_; }
   SimTime current_rto() const { return rto_; }

@@ -23,12 +23,10 @@ void UdpSocket::send_to(net::Endpoint to, std::int32_t payload_bytes,
   p.proto = net::Protocol::kUdp;
   p.size_bytes = net::kUdpHeaderBytes + payload_bytes;
   p.meta = std::move(meta);
-  ++sent_;
   mux_.send(std::move(p));
 }
 
 void UdpSocket::on_packet(net::Packet packet) {
-  ++received_;
   if (on_datagram_) {
     on_datagram_({packet.src, packet.src_port}, packet.meta,
                  packet.payload_bytes());

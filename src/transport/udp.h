@@ -31,9 +31,6 @@ class UdpSocket : public PacketSink {
   void send_to(net::Endpoint to, std::int32_t payload_bytes,
                std::shared_ptr<const net::PayloadMeta> meta);
 
-  std::uint64_t datagrams_sent() const { return sent_; }
-  std::uint64_t datagrams_received() const { return received_; }
-
   // PacketSink:
   void on_packet(net::Packet packet) override;
 
@@ -41,8 +38,6 @@ class UdpSocket : public PacketSink {
   TransportMux& mux_;
   net::Port port_;
   DatagramCallback on_datagram_;
-  std::uint64_t sent_ = 0;
-  std::uint64_t received_ = 0;
 };
 
 }  // namespace rv::transport

@@ -36,7 +36,7 @@ class SymbolPool {
     std::unique_lock lock(mu_);
     const auto it = index_.find(s);
     if (it != index_.end()) return it->second;
-    const std::uint32_t id = count_.load(std::memory_order_relaxed);
+    const std::uint32_t id = count_;
     RV_CHECK_LT(id, kMaxChunks * kChunkSize) << "symbol pool exhausted";
     const std::size_t chunk = id >> kChunkBits;
     std::string* slab = chunks_[chunk].load(std::memory_order_relaxed);
@@ -47,10 +47,7 @@ class SymbolPool {
     std::string& slot = slab[id & (kChunkSize - 1)];
     slot.assign(s);
     index_.emplace(std::string_view(slot), id);
-    // Publish after the string is fully constructed: a reader that acquires
-    // `count_` (or receives the id through any synchronizing channel) sees
-    // the complete slot.
-    count_.store(id + 1, std::memory_order_release);
+    count_ = id + 1;
     return id;
   }
 
@@ -65,10 +62,6 @@ class SymbolPool {
     return slab[id & (kChunkSize - 1)];
   }
 
-  std::uint32_t size() const {
-    return count_.load(std::memory_order_acquire);
-  }
-
  private:
   SymbolPool() {
     const std::uint32_t empty = intern(std::string_view());
@@ -78,7 +71,7 @@ class SymbolPool {
   mutable std::shared_mutex mu_;
   std::unordered_map<std::string_view, std::uint32_t> index_;
   std::array<std::atomic<std::string*>, kMaxChunks> chunks_{};
-  std::atomic<std::uint32_t> count_{0};
+  std::uint32_t count_ = 0;  // guarded by mu_
 };
 
 }  // namespace
@@ -88,16 +81,6 @@ Symbol::Symbol(std::string_view s) : id_(SymbolPool::instance().intern(s)) {}
 const std::string& Symbol::str() const {
   return SymbolPool::instance().str(id_);
 }
-
-Symbol Symbol::from_id(std::uint32_t id) {
-  RV_CHECK_LT(id, SymbolPool::instance().size())
-      << "symbol id not interned in this process";
-  Symbol s;
-  s.id_ = id;
-  return s;
-}
-
-std::uint32_t Symbol::pool_size() { return SymbolPool::instance().size(); }
 
 std::ostream& operator<<(std::ostream& os, Symbol s) { return os << s.str(); }
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -102,6 +104,37 @@ TEST(Simulator, EventsCanScheduleMoreEvents) {
   sim.run();
   EXPECT_EQ(depth, 100);
   EXPECT_EQ(sim.now(), 99);
+}
+
+TEST(Simulator, CallbackThatAddsChunksKeepsItsSlotAndTheOrder) {
+  // A callback fires in place, inside its slot. Scheduling more than two
+  // chunks of events from it adds chunks while it runs: its captures must
+  // stay where they are (the sanitizer build sees a read of a moved slot),
+  // and everything it scheduled must fire in {time, seq} order.
+  Simulator sim;
+  constexpr int kEvents = 2500;  // slots for more than two 1024-slot chunks
+  static constexpr std::array<std::uint32_t, 6> kTag{3, 1, 4, 1, 5, 9};
+  std::vector<std::pair<SimTime, int>> fired;
+  auto grow = [&sim, &fired, tag = kTag] {
+    for (int i = 0; i < kEvents; ++i) {
+      sim.schedule_at(10 + (i * 37) % 101,
+                      [&sim, &fired, i] { fired.emplace_back(sim.now(), i); });
+    }
+    EXPECT_EQ(tag, kTag);
+    fired.emplace_back(sim.now(), -1);
+  };
+  static_assert(sizeof(grow) <= EventFn::inline_capacity(),
+                "the captures must live in the slot itself");
+  sim.schedule_at(10, grow);
+  sim.run();
+  EXPECT_GT(sim.slot_capacity(), 2048u);
+
+  std::vector<std::pair<SimTime, int>> expected{{10, -1}};
+  for (int i = 0; i < kEvents; ++i) {
+    expected.emplace_back(10 + (i * 37) % 101, i);
+  }
+  std::sort(expected.begin() + 1, expected.end());
+  EXPECT_EQ(fired, expected);
 }
 
 TEST(Simulator, StepReturnsFalseWhenEmpty) {

@@ -138,6 +138,28 @@ TEST_F(TracerFixture, RunSingleDeterministic) {
   EXPECT_EQ(a.stats.jitter_ms, b.stats.jitter_ms);
 }
 
+TEST_F(TracerFixture, DeliveryTapLeavesTheRecordUnchanged) {
+  // A tap only watches: the play it is installed on gives the record of the
+  // same play without it, down to the trace counters.
+  TracerConfig traced = config_.tracer;
+  traced.obs.enabled = true;
+  const RealTracer tracer(catalog_, graph_, traced);
+  for (const bool force_tcp : {false, true}) {
+    SCOPED_TRACE(force_tcp ? "tcp" : "auto");
+    std::int64_t seen = 0;
+    const auto plain = tracer.run_single(healthy_user(), 0, 4321, force_tcp);
+    const auto tapped = tracer.run_single(
+        healthy_user(), 0, 4321, force_tcp, nullptr,
+        [&seen](const net::Packet&, net::NodeId, SimTime) { ++seen; });
+    EXPECT_GT(seen, 0);
+    EXPECT_GT(plain.stats.frames_played, 0);
+    EXPECT_EQ(plain.available, tapped.available);
+    EXPECT_TRUE(plain.stats == tapped.stats);
+    ASSERT_TRUE(plain.obs.enabled && tapped.obs.enabled);
+    EXPECT_EQ(plain.obs.counters.v, tapped.obs.counters.v);
+  }
+}
+
 TEST_F(TracerFixture, ForceTcpUsesTcp) {
   const auto rec = tracer_.run_single(healthy_user(), 0, 5, /*force_tcp=*/true);
   EXPECT_EQ(rec.stats.protocol, net::Protocol::kTcp);

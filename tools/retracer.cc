@@ -34,14 +34,6 @@ namespace {
 
 using namespace rv;
 
-world::Region parse_region(const std::string& s) {
-  for (int i = 0; i < world::kRegionCount; ++i) {
-    const auto region = static_cast<world::Region>(i);
-    if (world::region_name(region) == s) return region;
-  }
-  return world::Region::kUsEast;
-}
-
 using util::FlagKind;
 
 // The play mode, then the spill-read mode.
@@ -137,27 +129,16 @@ int main(int argc, char** argv) {
       seconds_to_sim(args.get_double("watch", 60.0));
   const tracer::RealTracer tracer(catalog, graph, tracer_cfg);
 
-  world::UserProfile user;
-  user.country = "US";
-  user.us_state = "MA";
-  user.region = parse_region(args.get_or("region", "us-east"));
-  user.group = world::UserRegionGroup::kUsCanada;
-  user.connection = tools::parse_connection(args.get_or("connection", "dsl"));
-  user.pc_class = args.get_or("pc", "Pentium II / 128-256");
-  user.isp_load_lo = 0.3;
-  user.isp_load_hi = 0.6;
-  user.seed = static_cast<std::uint64_t>(args.get_int("seed", 2001));
-  const auto playlist_index =
-      static_cast<std::size_t>(args.get_int("clip", 0));
-  const bool force_tcp = args.get_or("protocol", "auto") == "tcp";
+  const tools::OnePlay play = tools::one_play(args);
+  const world::UserProfile& user = play.user;
+  const std::size_t playlist_index = play.playlist_index;
 
   tools::StatusExporter status;
   if (!status.start(args)) return 2;
   obs::metrics_gauge_set(obs::MetricGauge::kUsersPlanned, 1);
 
-  const auto rec = tracer.run_single(
-      user, playlist_index,
-      user.seed * 7919 + playlist_index, force_tcp);
+  const auto rec = tracer.run_single(user, playlist_index, play.play_seed,
+                                     play.force_tcp);
   study::feed_metrics(1, {&rec, 1});
 
   const std::string trace_path = args.get_or("trace", "");

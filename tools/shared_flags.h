@@ -1,9 +1,11 @@
 // Flags the tools share, declared and parsed in one place: --cc, --trace,
 // --series-csv, --telemetry / --telemetry-interval-ms, --status-port and
 // --status-hold-ms (realdata and retracer), and the one-play flags
-// --connection, --clip, --protocol and --seed (retracer and rtspdump).
+// --connection, --clip, --protocol and --seed with the play they select
+// (retracer and rtspdump).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -42,11 +44,17 @@ inline const std::vector<util::FlagSpec> kPlayFlags = {
     {"protocol", FlagKind::kChoice, "auto|tcp"},
     {"seed", FlagKind::kInt, "N"}};
 
-inline world::ConnectionClass parse_connection(const std::string& s) {
-  if (s == "modem") return world::ConnectionClass::kModem56k;
-  if (s == "t1" || s == "lan") return world::ConnectionClass::kT1Lan;
-  return world::ConnectionClass::kDslCable;
-}
+// The one play retracer and rtspdump run, from the rows above and, for
+// retracer, --region and --pc: a US user (us-east and a Pentium II unless
+// given) with the connection's access, the clip at the playlist index, the
+// transport, and the play seed derived from --seed and the index.
+struct OnePlay {
+  world::UserProfile user;
+  std::size_t playlist_index = 0;
+  std::uint64_t play_seed = 0;
+  bool force_tcp = false;
+};
+OnePlay one_play(const util::Args& args);
 
 // Applies --cc, --trace and the telemetry flags to `tracer`. `args` has
 // passed util::check_flags against the rows above.
