@@ -51,7 +51,23 @@ int run(const util::Args& args) {
       print_second();
       current_second = when;
     }
-    // Control messages (RTSP/HTTP text) in the clear.
+    // A media packet: its bytes count in the flow's second, and --packets
+    // prints it.
+    const auto media_packet = [&](const media::MediaPacketMeta& media,
+                                  std::int64_t bytes) {
+      second_bytes[{p.src, p.dst}] += bytes;
+      if (dump_packets) {
+        std::cout << util::format_double(to_seconds(when), 3) << "s  "
+                  << net::protocol_name(p.proto) << " " << p.src << "->"
+                  << p.dst << "  seq=" << media.seq
+                  << " frame=" << media.frame_index << " level=" << media.level
+                  << " bytes=" << media.payload_bytes << "\n";
+      }
+    };
+    // A UDP datagram carries one media packet in `meta`. TCP interleaves
+    // control messages (RTSP/HTTP text, printed in the clear) and media
+    // packets in one byte stream: each is a chunk record in the segment
+    // its last byte rides in.
     for (const auto& chunk : p.chunks) {
       if (const auto* text = dynamic_cast<const media::RtspTextMeta*>(
               chunk.meta.get())) {
@@ -59,17 +75,15 @@ int run(const util::Args& args) {
         std::cout << util::format_double(to_seconds(when), 3) << "s  "
                   << net::protocol_name(p.proto) << " " << p.src << "->"
                   << p.dst << "  " << first_line << "\n";
+      } else if (const auto* media =
+                     dynamic_cast<const media::MediaPacketMeta*>(
+                         chunk.meta.get())) {
+        media_packet(*media, media->payload_bytes);
       }
     }
-    const auto* media =
-        dynamic_cast<const media::MediaPacketMeta*>(p.meta.get());
-    if (media == nullptr) return;
-    second_bytes[{p.src, p.dst}] += p.payload_bytes();
-    if (dump_packets) {
-      std::cout << util::format_double(to_seconds(when), 3) << "s  UDP "
-                << p.src << "->" << p.dst << "  seq=" << media->seq
-                << " frame=" << media->frame_index << " level=" << media->level
-                << " bytes=" << media->payload_bytes << "\n";
+    if (const auto* media =
+            dynamic_cast<const media::MediaPacketMeta*>(p.meta.get())) {
+      media_packet(*media, p.payload_bytes());
     }
   };
   const tracer::TraceRecord rec =
